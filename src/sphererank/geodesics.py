@@ -1,11 +1,14 @@
 """Geodesic flow, parallel transport, and parallel normal frames.
 
-Integration is classical one-step RK4 on a fixed arc-length grid.  Sphere
-models integrate the ambient second-order equation with constraint
-projection after every step; the Berger sphere integrates the reduced
-first-order system on the frame coefficients and reconstructs the unit
-quaternion alongside.  All integrators accept a leading batch axis, so a
-bundle of geodesics advances in lockstep.
+Every integration runs through one classical RK4 stepper, ``_rk4``, on a
+fixed arc-length grid.  Its state is a tuple of arrays that may carry a
+leading batch axis, so a bundle of geodesics advances in lockstep.  The
+model supplies the dynamics: ``state_rhs`` and ``project_state`` for the
+geodesic (ambient second-order equation with constraint projection on the
+sphere models, reduced left-invariant system with quaternion reconstruction
+on the Berger sphere), ``transport_rhs`` and ``project_tangent`` for
+parallel fields.  States between grid nodes come from one cubic Hermite
+interpolator, ``_hermite``, fed with the exact state derivatives.
 """
 
 from __future__ import annotations
@@ -15,16 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .geometry import (
-    BergerSphere,
-    ManifoldModel,
-    Point,
-    Tangent,
-    make_point,
-    make_tangent,
-    quat_mul,
-    unwrap,
-)
+from .geometry import ManifoldModel, Point, Tangent, make_point
 
 DEFAULT_STEP = 1e-3
 UNIT_SPEED_TOL = 1e-8
@@ -46,29 +40,72 @@ def time_grid(horizon, step):
 
 
 # ---------------------------------------------------------------------------
-# right-hand sides
+# the stepper and the interpolator
 
 
-def _euler_rhs(weights, w):
-    """Reduced geodesic equation on the frame coefficients."""
-    return 2.0 * np.cross(weights * w, w) / weights
+def _rk4(rhs, y0, times, nodes=(), mids=(), project=None):
+    """Classical RK4 over the grid ``times`` for a tuple-of-arrays state.
+
+    ``rhs(*c, *y)`` returns the derivative of the state ``y`` as a tuple,
+    given coefficient data ``c``: the step-``i`` rows of the arrays in
+    ``nodes`` at the start of step ``i``, the step-``i`` rows of ``mids`` at
+    its two midpoint stages, and the step-``i + 1`` rows of ``nodes`` at its
+    end.  ``project(*c, *y)``, if given, maps the state after each step back
+    onto the constraint set (``c`` is the end-node data).  Returns one array
+    per state component with the time axis prepended.
+    """
+    y = [np.array(a, dtype=float) for a in y0]
+    out = [np.empty((len(times),) + a.shape) for a in y]
+    for o, a in zip(out, y):
+        o[0] = a
+    # rows are drawn lazily: building every row view up front fragments the heap
+    node_rows, mid_rows = zip(*nodes), zip(*mids)
+    c1 = next(node_rows, ())
+    for i, h in enumerate(np.diff(times).tolist(), 1):
+        c0, c1, cm = c1, next(node_rows, ()), next(mid_rows, ())
+        half, sixth = 0.5 * h, h / 6.0
+        k1 = rhs(*c0, *y)
+        k2 = rhs(*cm, *[a + half * k for a, k in zip(y, k1)])
+        k3 = rhs(*cm, *[a + half * k for a, k in zip(y, k2)])
+        k4 = rhs(*c1, *[a + h * k for a, k in zip(y, k3)])
+        y = [a + sixth * (p + 2 * q + 2 * r + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+        if project is not None:
+            y = project(*c1, *y)
+        for o, a in zip(out, y):
+            o[i] = a
+    return tuple(out)
 
 
-def _berger_state_rhs(weights, q, w):
-    zeros = np.zeros(w.shape[:-1] + (1,), dtype=float)
-    dq = quat_mul(q, np.concatenate([zeros, w], axis=-1))
-    return dq, _euler_rhs(weights, w)
+def _hermite(s, h, Y, D):
+    """Cubic Hermite interpolant at fraction ``s`` of every interval.
+
+    ``Y`` holds node values and ``D`` their derivatives along a leading node
+    axis; ``h`` is the interval length (scalar or broadcastable per
+    interval).  Returns one value per interval.  The grouping reproduces the
+    midpoint formula (Y0 + Y1)/2 + h (D0 - D1)/8 exactly at ``s = 1/2``.
+    """
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s**2 * (3 - 2 * s)
+    h11 = s**2 * (s - 1)
+    return h00 * Y[:-1] + h01 * Y[1:] + h * (h10 * D[:-1] + h11 * D[1:])
 
 
-def _sphere_state_rhs(x, v):
-    speed2 = np.einsum("...i,...i->...", v, v)[..., None]
-    return v, -speed2 * x
+def _locate(times, t, domain):
+    """(i, s, h): the grid interval [times[i], times[i + 1]] of length h holding
+    ``t``, which lies the fraction s of the way through it."""
+    if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
+        raise ParameterError(f"time outside the {domain} domain")
+    i = int(np.searchsorted(times, t, side="right") - 1)
+    i = min(max(i, 0), len(times) - 2)
+    h = times[i + 1] - times[i]
+    return i, (t - times[i]) / h, h
 
 
-def _project_state(core, x, v):
-    x = x / np.linalg.norm(x, axis=-1, keepdims=True)
-    v = core.project_tangent(x, v)
-    return x, v
+def _hermite_states(model, s, h, X, V):
+    """Projected Hermite-interpolated states inside each interval of node states."""
+    dX, dV = model.state_rhs(X, V)
+    return model.project_state(_hermite(s, h, X, dX), _hermite(s, h, V, dV))
 
 
 # ---------------------------------------------------------------------------
@@ -81,62 +118,17 @@ def flow_arrays(model, x0, v0, times):
     ``x0`` has shape (..., point_dim) and ``v0`` (..., tangent_dim); the
     returned arrays prepend the time axis.
     """
-    core, _ = unwrap(model)
-    T = len(times)
-    X = np.empty((T,) + x0.shape)
-    V = np.empty((T,) + v0.shape)
-    X[0], V[0] = x0, v0
-    x, v = np.array(x0, dtype=float), np.array(v0, dtype=float)
-    if isinstance(core, BergerSphere):
-        weights = core.metric_weights
-        for i in range(T - 1):
-            h = times[i + 1] - times[i]
-            k1q, k1w = _berger_state_rhs(weights, x, v)
-            k2q, k2w = _berger_state_rhs(weights, x + 0.5 * h * k1q, v + 0.5 * h * k1w)
-            k3q, k3w = _berger_state_rhs(weights, x + 0.5 * h * k2q, v + 0.5 * h * k2w)
-            k4q, k4w = _berger_state_rhs(weights, x + h * k3q, v + h * k3w)
-            x = x + h / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
-            v = v + h / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w)
-            x = x / np.linalg.norm(x, axis=-1, keepdims=True)
-            X[i + 1], V[i + 1] = x, v
-    else:
-        for i in range(T - 1):
-            h = times[i + 1] - times[i]
-            k1x, k1v = _sphere_state_rhs(x, v)
-            k2x, k2v = _sphere_state_rhs(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
-            k3x, k3v = _sphere_state_rhs(x + 0.5 * h * k2x, v + 0.5 * h * k2v)
-            k4x, k4v = _sphere_state_rhs(x + h * k3x, v + h * k3v)
-            x = x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-            v = v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-            x, v = _project_state(core, x, v)
-            X[i + 1], V[i + 1] = x, v
-    return X, V
-
-
-def _state_derivatives(model, X, V):
-    core, _ = unwrap(model)
-    if isinstance(core, BergerSphere):
-        return _berger_state_rhs(core.metric_weights, X, V)
-    return _sphere_state_rhs(X, V)
+    return _rk4(model.state_rhs, (x0, v0), times, project=model.project_state)
 
 
 def hermite_midpoints(model, times, X, V):
     """4th-order-accurate states at interval midpoints from node data.
 
-    Uses the cubic Hermite midpoint formulas with the exact state
-    derivatives, then re-projects onto the constraint set.
+    Uses the cubic Hermite interpolant with the exact state derivatives,
+    then re-projects onto the constraint set.
     """
-    core, _ = unwrap(model)
-    h = np.diff(times)
-    dX, dV = _state_derivatives(model, X, V)
-    hx = h.reshape((-1,) + (1,) * (X.ndim - 1))
-    hv = h.reshape((-1,) + (1,) * (V.ndim - 1))
-    Xm = 0.5 * (X[:-1] + X[1:]) + hx / 8.0 * (dX[:-1] - dX[1:])
-    Vm = 0.5 * (V[:-1] + V[1:]) + hv / 8.0 * (dV[:-1] - dV[1:])
-    Xm = Xm / np.linalg.norm(Xm, axis=-1, keepdims=True)
-    if not isinstance(core, BergerSphere):
-        Vm = core.project_tangent(Xm, Vm)
-    return Xm, Vm
+    h = np.diff(times).reshape((-1,) + (1,) * (X.ndim - 1))
+    return _hermite_states(model, 0.5, h, X, V)
 
 
 # ---------------------------------------------------------------------------
@@ -201,35 +193,13 @@ class Trajectory:
     def states(self):
         return [self.state(i) for i in range(len(self.times))]
 
-    def _interval(self, t):
-        if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
-            raise ParameterError("time outside the trajectory domain")
-        i = int(np.searchsorted(self.times, t, side="right") - 1)
-        return min(max(i, 0), len(self.times) - 2)
-
     def state_at(self, t):
         """Hermite-interpolated state at time ``t``, projected to the model."""
-        t = float(t)
-        i = self._interval(t)
-        t0, t1 = self.times[i], self.times[i + 1]
-        h = t1 - t0
-        s = (t - t0) / h
-        x0, x1 = self.points[i], self.points[i + 1]
-        v0, v1 = self.velocities[i], self.velocities[i + 1]
-        (dx0, dv0) = tuple(a[0] for a in _state_derivatives(self.model, x0[None], v0[None]))
-        (dx1, dv1) = tuple(a[0] for a in _state_derivatives(self.model, x1[None], v1[None]))
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s**2 * (3 - 2 * s)
-        h11 = s**2 * (s - 1)
-        x = h00 * x0 + h10 * h * dx0 + h01 * x1 + h11 * h * dx1
-        v = h00 * v0 + h10 * h * dv0 + h01 * v1 + h11 * h * dv1
-        core, _ = unwrap(self.model)
-        x = x / np.linalg.norm(x)
-        if not isinstance(core, BergerSphere):
-            v = core.project_tangent(x, v)
-        p = Point(x)
-        return GeodesicState(p, Tangent(p, v))
+        i, s, h = _locate(self.times, float(t), "trajectory")
+        X, V = self.points[i : i + 2], self.velocities[i : i + 2]
+        x, v = _hermite_states(self.model, s, h, X, V)
+        p = Point(x[0])
+        return GeodesicState(p, Tangent(p, v[0]))
 
 
 def geodesic_flow(model, initial, horizon, step=DEFAULT_STEP):
@@ -264,59 +234,29 @@ def exp_map(model, p, v, step=DEFAULT_STEP):
 # parallel transport
 
 
-def _transport_rhs(core, w, x, v):
-    """Covariant-constancy equation for a field ``w`` along velocity ``v`` at ``x``."""
-    if isinstance(core, BergerSphere):
-        g = core.metric_weights
-        return -np.cross(v, w) + (np.cross(g * w, v) + np.cross(g * v, w)) / g
-    out = -np.einsum("...i,...i->...", w, v)[..., None] * x
-    if core.kind == "cpn":
-        from .geometry import jmul
-
-        jx, jv = jmul(x), jmul(v)
-        out = out - np.einsum("...i,...i->...", w, jv)[..., None] * jx
-    return out
-
-
 def transport_arrays(model, times, X, V, Xm, Vm, w0):
     """Parallel-transport ``w0`` (..., m, tangent_dim) along a sampled geodesic."""
-    core, _ = unwrap(model)
-    T = len(times)
-    W = np.empty((T,) + w0.shape)
-    W[0] = w0
-    w = np.array(w0, dtype=float)
-    sphere = not isinstance(core, BergerSphere)
-    for i in range(T - 1):
-        h = times[i + 1] - times[i]
-        x0, v0 = X[i][..., None, :], V[i][..., None, :]
-        xm, vm = Xm[i][..., None, :], Vm[i][..., None, :]
-        x1, v1 = X[i + 1][..., None, :], V[i + 1][..., None, :]
-        k1 = _transport_rhs(core, w, x0, v0)
-        k2 = _transport_rhs(core, w + 0.5 * h * k1, xm, vm)
-        k3 = _transport_rhs(core, w + 0.5 * h * k2, xm, vm)
-        k4 = _transport_rhs(core, w + h * k3, x1, v1)
-        w = w + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if sphere:
-            w = core.project_tangent(x1, w)
-        W[i + 1] = w
+    (W,) = _rk4(
+        lambda x, v, w: (model.transport_rhs(w, x, v),),
+        (w0,),
+        times,
+        nodes=(X[..., None, :], V[..., None, :]),
+        mids=(Xm[..., None, :], Vm[..., None, :]),
+        project=lambda x, v, w: (model.project_tangent(x, w),),
+    )
     return W
 
 
-def _grid_index(times, t):
-    i = int(np.searchsorted(times, t))
-    for j in (i - 1, i, i + 1):
-        if 0 <= j < len(times) and abs(times[j] - t) <= 1e-12 * max(1.0, times[-1]):
-            return j
-    return None
-
-
 def parallel_transport(trajectory, v0, t_from, t_to):
-    """Transport ``v0`` from gamma(t_from) to gamma(t_to) along the trajectory."""
+    """Transport ``v0`` from gamma(t_from) to gamma(t_to) along the trajectory.
+
+    The nodes are the endpoints, which may lie off the grid, and the grid
+    times strictly between them, in the direction of travel.
+    """
     model = trajectory.model
-    core, _ = unwrap(model)
-    lo, hi = trajectory.times[0], trajectory.times[-1]
+    times = trajectory.times
     for t in (t_from, t_to):
-        if t < lo - 1e-12 or t > hi + 1e-12:
+        if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
             raise ParameterError("transport endpoints must lie in the trajectory domain")
     start = trajectory.state_at(t_from)
     if model.point_distance(start.point.coordinates, v0.base.coordinates) > 1e-8:
@@ -326,50 +266,21 @@ def parallel_transport(trajectory, v0, t_from, t_to):
     if t_to == t_from:
         return Tangent(start.point, np.array(v0.components, dtype=float))
 
-    i_from = _grid_index(trajectory.times, t_from)
-    i_to = _grid_index(trajectory.times, t_to)
-    if i_from is not None and i_to is not None:
-        # fast path: both endpoints are sample times
-        times, X, V = trajectory.times, trajectory.points, trajectory.velocities
-        Xm, Vm = trajectory.midpoint_states()
-        if i_to > i_from:
-            ts_, X_, V_ = times[i_from : i_to + 1], X[i_from : i_to + 1], V[i_from : i_to + 1]
-            Xm_, Vm_ = Xm[i_from:i_to], Vm[i_from:i_to]
-        else:
-            sel = slice(i_to, i_from + 1)
-            ts_, X_, V_ = times[sel][::-1], X[sel][::-1], V[sel][::-1]
-            Xm_, Vm_ = Xm[i_to:i_from][::-1], Vm[i_to:i_from][::-1]
-        W = transport_arrays(model, ts_, X_, V_, Xm_, Vm_, v0.components[None, :])
-        end = trajectory.state(i_to)
-        return Tangent(end.point, W[-1, 0])
-
-    # general path: fractional endpoints, states interpolated per step
-    a, b = (t_from, t_to) if t_from < t_to else (t_to, t_from)
-    inner = trajectory.times[(trajectory.times > a + 1e-12) & (trajectory.times < b - 1e-12)]
-    nodes = np.concatenate([[a], inner, [b]])
-    if t_to < t_from:
-        nodes = nodes[::-1]
-
-    sphere = not isinstance(core, BergerSphere)
-    w = np.array(v0.components, dtype=float)
-    for i in range(len(nodes) - 1):
-        t0, t1 = nodes[i], nodes[i + 1]
-        h = t1 - t0
-        s0 = trajectory.state_at(t0)
-        sm = trajectory.state_at(0.5 * (t0 + t1))
-        s1 = trajectory.state_at(t1)
-        x0, v0c = s0.point.coordinates, s0.velocity.components
-        xm, vmc = sm.point.coordinates, sm.velocity.components
-        x1, v1c = s1.point.coordinates, s1.velocity.components
-        k1 = _transport_rhs(core, w, x0, v0c)
-        k2 = _transport_rhs(core, w + 0.5 * h * k1, xm, vmc)
-        k3 = _transport_rhs(core, w + 0.5 * h * k2, xm, vmc)
-        k4 = _transport_rhs(core, w + h * k3, x1, v1c)
-        w = w + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if sphere:
-            w = core.project_tangent(x1, w)
     end = trajectory.state_at(t_to)
-    return Tangent(end.point, w)
+    lo, hi = min(t_from, t_to), max(t_from, t_to)
+    inner = np.nonzero((times > lo + 1e-12) & (times < hi - 1e-12))[0]
+    if t_to < t_from:
+        inner = inner[::-1]
+    nodes = np.concatenate([[t_from], times[inner], [t_to]])
+    X = np.concatenate(
+        [[start.point.coordinates], trajectory.points[inner], [end.point.coordinates]]
+    )
+    V = np.concatenate(
+        [[start.velocity.components], trajectory.velocities[inner], [end.velocity.components]]
+    )
+    Xm, Vm = hermite_midpoints(model, nodes, X, V)
+    W = transport_arrays(model, nodes, X, V, Xm, Vm, v0.components[None, :])
+    return Tangent(end.point, W[-1, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import stats
@@ -111,12 +112,28 @@ class Frame:
 class ManifoldModel:
     """Common interface of the built-in geometries.
 
-    Each concrete model provides ``dim`` / ``point_dim`` / ``tangent_dim``,
-    the metric ``inner``, the curvature tensor ``curvature`` (sign convention
-    ``sec(u, v) = <R(u,v)v, u> / gram``), coordinate projection and
-    validation, and a deterministic ``tangent_basis``.  Array arguments
-    follow the per-model coordinate conventions and may carry arbitrary
-    leading (batch) axes.
+    Array arguments follow the per-model coordinate conventions and may
+    carry arbitrary leading (batch) axes.  A geometry provides:
+
+    * ``dim``, ``point_dim``, ``tangent_dim`` -- manifold dimension and the
+      lengths of the point and tangent coordinate vectors;
+    * ``inner(u, v)`` -- the metric; ``pair_inner(A, B)`` -- the matrix of
+      metric products between the stacks ``A`` (..., k, d) and ``B``
+      (..., m, d), via matmul;
+    * ``curvature(x, y, z)`` -- the tensor ``R(x, y) z`` (sign convention
+      ``sec(u, v) = <R(u,v)v, u> / gram``) and ``curvature_bounds()`` --
+      the exact (min, max) of sectional curvature;
+    * ``project_point(p)``, ``project_tangent(p, u)`` -- maps onto the
+      coordinate constraint set; ``validate_point``, ``validate_tangent``;
+    * ``tangent_basis(p)`` -- a deterministic spanning set at ``p``;
+    * ``state_rhs(x, v)`` -- the geodesic equation as the derivative of the
+      state (point, velocity coordinates);
+    * ``transport_rhs(w, x, v)`` -- the derivative of a parallel field
+      ``w`` along velocity ``v`` at ``x``;
+    * ``describe()`` -- the manifest form of the model.
+
+    ``canonical_point``, ``point_distance``, ``project_point`` and
+    ``project_state`` have defaults below.
     """
 
     kind = "abstract"
@@ -129,9 +146,34 @@ class ManifoldModel:
         """Coordinate-space distance that is zero exactly on equal points."""
         return float(np.linalg.norm(p - q))
 
+    def project_point(self, p):
+        """Nearest unit vector: the points of every built-in model are unit vectors."""
+        # np.linalg.norm(p, axis=-1, keepdims=True) computes the same sum, but
+        # its argument handling costs more than the arithmetic once per RK4 step
+        return p / np.sqrt(np.add.reduce(p * p, axis=-1, keepdims=True))
+
+    def project_state(self, x, v):
+        """Project a geodesic state (point, velocity) back onto the constraint set."""
+        x = self.project_point(x)
+        return x, self.project_tangent(x, v)
+
+
+class _AmbientSphere(ManifoldModel):
+    """Points are unit vectors in R^point_dim and geodesics are great circles.
+
+    This holds for the round sphere and, through the horizontal lift, for
+    CP^n; tangents are ambient vectors.
+    """
+
+    def state_rhs(self, x, v):
+        return v, -_dot(v, v)[..., None] * x
+
+    def transport_rhs(self, w, x, v):
+        return -_dot(w, v)[..., None] * x
+
 
 @dataclass(frozen=True)
-class RoundSphere(ManifoldModel):
+class RoundSphere(_AmbientSphere):
     """Unit sphere S^dim embedded in R^{dim+1}; constant curvature 1."""
 
     dim: int
@@ -153,11 +195,14 @@ class RoundSphere(ManifoldModel):
     def inner(self, u, v):
         return _dot(u, v)
 
+    def pair_inner(self, A, B):
+        return np.matmul(A, np.swapaxes(B, -1, -2))
+
     def curvature(self, x, y, z):
         return _dot(y, z)[..., None] * x - _dot(x, z)[..., None] * y
 
-    def project_point(self, p):
-        return p / np.linalg.norm(p, axis=-1, keepdims=True)
+    def curvature_bounds(self):
+        return 1.0, 1.0
 
     def project_tangent(self, p, u):
         return u - _dot(u, p)[..., None] * p
@@ -213,12 +258,15 @@ class BergerSphere(ManifoldModel):
     def tangent_dim(self):
         return 3
 
-    @property
+    @cached_property
     def metric_weights(self):
         return np.array([self.eta**2, 1.0, 1.0])
 
     def inner(self, u, v):
         return np.einsum("...i,...i,i->...", u, v, self.metric_weights)
+
+    def pair_inner(self, A, B):
+        return np.matmul(A * self.metric_weights, np.swapaxes(B, -1, -2))
 
     def curvature(self, x, y, z):
         eta = self.eta
@@ -234,12 +282,22 @@ class BergerSphere(ManifoldModel):
         r3 = -k13 * w13 * ze[..., 0] - k23 * w23 * ze[..., 1]
         return np.stack([r1, r2, r3], axis=-1) / s
 
-    def project_point(self, p):
-        return p / np.linalg.norm(p, axis=-1, keepdims=True)
+    def curvature_bounds(self):
+        a, b = self.eta**2, 4.0 - 3.0 * self.eta**2
+        return min(a, b), max(a, b)
 
     def project_tangent(self, p, u):
         # frame coefficients carry no constraint
         return u
+
+    def state_rhs(self, x, v):
+        """Quaternion velocity and the reduced (Euler) equation on the frame coefficients."""
+        g = self.metric_weights
+        return ambient_from_body(x, v), 2.0 * np.cross(g * v, v) / g
+
+    def transport_rhs(self, w, x, v):
+        g = self.metric_weights
+        return -np.cross(v, w) + (np.cross(g * w, v) + np.cross(g * v, w)) / g
 
     def tangent_basis(self, p):
         eye = np.eye(4)
@@ -261,7 +319,7 @@ class BergerSphere(ManifoldModel):
 
 
 @dataclass(frozen=True)
-class ComplexProjective(ManifoldModel):
+class ComplexProjective(_AmbientSphere):
     """CP^n normalized so that sectional curvature lies in [1/4, 1].
 
     Points are unit vectors in C^{n+1}, stored as 2n+2 reals (real parts
@@ -294,6 +352,9 @@ class ComplexProjective(ManifoldModel):
     def inner(self, u, v):
         return 4.0 * _dot(u, v)
 
+    def pair_inner(self, A, B):
+        return 4.0 * np.matmul(A, np.swapaxes(B, -1, -2))
+
     def curvature(self, x, y, z):
         jx, jy, jz = jmul(x), jmul(y), jmul(z)
         out = _dot(y, z)[..., None] * x - _dot(x, z)[..., None] * y
@@ -301,12 +362,15 @@ class ComplexProjective(ManifoldModel):
         out += 2.0 * _dot(x, jy)[..., None] * jz
         return out
 
-    def project_point(self, p):
-        return p / np.linalg.norm(p, axis=-1, keepdims=True)
+    def curvature_bounds(self):
+        return (1.0, 1.0) if self.n == 1 else (0.25, 1.0)
 
     def project_tangent(self, p, u):
         jp = jmul(p)
         return u - _dot(u, p)[..., None] * p - _dot(u, jp)[..., None] * jp
+
+    def transport_rhs(self, w, x, v):
+        return super().transport_rhs(w, x, v) - _dot(w, jmul(v))[..., None] * jmul(x)
 
     def canonical_point(self, p):
         m = p.shape[-1] // 2
@@ -386,14 +450,31 @@ class Scaled(ManifoldModel):
     def inner(self, u, v):
         return self.lam**2 * self.base.inner(u, v)
 
+    def pair_inner(self, A, B):
+        return self.lam**2 * self.base.pair_inner(A, B)
+
     def curvature(self, x, y, z):
         return self.base.curvature(x, y, z)
+
+    def curvature_bounds(self):
+        lo, hi = self.base.curvature_bounds()
+        return lo / self.lam**2, hi / self.lam**2
 
     def project_point(self, p):
         return self.base.project_point(p)
 
     def project_tangent(self, p, u):
         return self.base.project_tangent(p, u)
+
+    def project_state(self, x, v):
+        return self.base.project_state(x, v)
+
+    def state_rhs(self, x, v):
+        # the geodesic and transport equations are invariant under constant rescaling
+        return self.base.state_rhs(x, v)
+
+    def transport_rhs(self, w, x, v):
+        return self.base.transport_rhs(w, x, v)
 
     def canonical_point(self, p):
         return self.base.canonical_point(p)
@@ -447,14 +528,10 @@ def make_frame(model, base, vectors):
         if not np.array_equal(v.base.coordinates, base.coordinates):
             raise DomainError("frame vectors must share the frame's base point")
     comps = np.stack([v.components for v in vecs])
-    gram = _gram(model, comps)
+    gram = model.pair_inner(comps, comps)
     if np.max(np.abs(gram - np.eye(len(vecs)))) > FRAME_ORTHO_TOL:
         raise DomainError("frame vectors must be g-orthonormal")
     return Frame(base, vecs)
-
-
-def _gram(model, vecs):
-    return model.inner(vecs[..., :, None, :], vecs[..., None, :, :])
 
 
 def _check_shared_base(u, v):
@@ -511,30 +588,12 @@ def pair_inner(model, A, B):
     holds g(A_i, B_j).  Uses matmul, which is much faster than broadcast
     reductions for the profile-sized workloads.
     """
-    core, lam = unwrap(model)
-    Bt = np.swapaxes(B, -1, -2)
-    if isinstance(core, BergerSphere):
-        out = np.matmul(A * core.metric_weights, Bt)
-    elif core.kind == "cpn":
-        out = 4.0 * np.matmul(A, Bt)
-    else:
-        out = np.matmul(A, Bt)
-    return out if lam == 1.0 else lam**2 * out
+    return model.pair_inner(A, B)
 
 
 def curvature_bounds(model):
     """Exact (min, max) of sectional curvature over all 2-planes."""
-    core, lam = unwrap(model)
-    if isinstance(core, RoundSphere):
-        lo = hi = 1.0
-    elif isinstance(core, BergerSphere):
-        a, b = core.eta**2, 4.0 - 3.0 * core.eta**2
-        lo, hi = min(a, b), max(a, b)
-    elif isinstance(core, ComplexProjective):
-        lo, hi = (1.0, 1.0) if core.n == 1 else (0.25, 1.0)
-    else:  # pragma: no cover - unreachable for the built-in kinds
-        raise DomainError(f"no closed-form curvature bounds for {core!r}")
-    return lo / lam**2, hi / lam**2
+    return model.curvature_bounds()
 
 
 # ---------------------------------------------------------------------------
@@ -557,10 +616,7 @@ def gaussians_from_uniforms(u):
 
 def uniform_dims(model):
     """(point, direction) uniform-sample dimensions for the model."""
-    core, _ = unwrap(model)
-    if isinstance(core, BergerSphere):
-        return 4, 3
-    return core.point_dim, core.tangent_dim
+    return model.point_dim, model.tangent_dim
 
 
 def points_from_uniforms(model, u):
@@ -648,11 +704,12 @@ def curvature_scan(model, sample_count, seed):
     if sample_count < 1:
         raise ParameterError("curvature_scan needs sample_count >= 1")
     core, _ = unwrap(model)
+    berger = isinstance(core, BergerSphere)
     dp, dt = uniform_dims(model)
-    plane_dims = 2 if isinstance(core, BergerSphere) else 2 * dt
+    plane_dims = 2 if berger else 2 * dt
     u = sobol_uniforms(dp + plane_dims, sample_count, seed)
     points = points_from_uniforms(model, u[:, :dp])
-    if isinstance(core, BergerSphere):
+    if berger:
         a, b = _berger_plane_samples(core, points, u[:, dp:])
     else:
         a, b = _generic_plane_samples(model, points, u[:, dp:])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousEndpointError, DomainError, ParameterError
-from .geodesics import ParallelField, Trajectory
+from .geodesics import ParallelField, Trajectory, _hermite, _locate, _rk4
 from .geometry import pair_inner
 
 EVENT_TIME_RESOLUTION = 1e-8
@@ -54,15 +54,18 @@ class CurvatureProfile:
 def profile_arrays(model, V, E):
     """K_ab = g(R(E_a, v)v, E_b) for stacked samples.
 
-    ``V`` has shape (..., tangent_dim) and ``E`` (..., k, tangent_dim); the
-    result is (..., k, k), symmetrized, together with the symmetry defect.
+    ``V`` has shape (T, ..., tangent_dim) and ``E`` (T, ..., k, tangent_dim),
+    with the samples along each geodesic on the leading axis; the result is
+    (T, ..., k, k), symmetrized, together with the symmetry defect
+    max|K - K^T| over the samples of each geodesic, of shape (...).
     """
     vb = V[..., None, :]
     R = model.curvature(E, vb, vb)
     K = pair_inner(model, R, E)
-    defect = float(np.max(np.abs(K - np.swapaxes(K, -1, -2)))) if K.size else 0.0
-    K = 0.5 * (K + np.swapaxes(K, -1, -2))
-    return K, defect
+    Kt = np.swapaxes(K, -1, -2)
+    # the defect first: its temporaries are freed before the symmetrized copy exists
+    defect = np.max(np.abs(K - Kt), axis=(0, -2, -1))
+    return 0.5 * (K + Kt), defect
 
 
 def curvature_profile(trajectory, frame):
@@ -78,7 +81,7 @@ def curvature_profile(trajectory, frame):
     if np.max(np.abs(gram - np.eye(E.shape[1]))) > 1e-6 or np.max(np.abs(vdot)) > 1e-6:
         raise DomainError("frame must be g-orthonormal and normal to the velocity")
     K, defect = profile_arrays(trajectory.model, trajectory.velocities, E)
-    return CurvatureProfile(trajectory, list(frame), K, defect)
+    return CurvatureProfile(trajectory, list(frame), K, float(defect))
 
 
 # ---------------------------------------------------------------------------
@@ -139,24 +142,7 @@ def solve_jacobi_arrays(times, K, Kmid, Y0, Yp0):
     vector = Y0.ndim == K.ndim - 2
     if vector:
         Y0, Yp0 = Y0[..., None], Yp0[..., None]
-    T = len(times)
-    Ys = np.empty((T,) + Y0.shape)
-    Yps = np.empty_like(Ys)
-    Ys[0], Yps[0] = Y0, Yp0
-    y, yp = np.array(Y0, dtype=float), np.array(Yp0, dtype=float)
-    for i in range(T - 1):
-        h = times[i + 1] - times[i]
-        K0, Km, K1 = K[i], Kmid[i], K[i + 1]
-        a1, b1 = yp, -K0 @ y
-        y2 = y + 0.5 * h * a1
-        a2, b2 = yp + 0.5 * h * b1, -Km @ y2
-        y3 = y + 0.5 * h * a2
-        a3, b3 = yp + 0.5 * h * b2, -Km @ y3
-        y4 = y + h * a3
-        a4, b4 = yp + h * b3, -K1 @ y4
-        y = y + h / 6.0 * (a1 + 2 * a2 + 2 * a3 + a4)
-        yp = yp + h / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
-        Ys[i + 1], Yps[i + 1] = y, yp
+    Ys, Yps = _rk4(lambda k, y, yp: (yp, -k @ y), (Y0, Yp0), times, (K,), (Kmid,))
     if vector:
         return Ys[..., 0], Yps[..., 0]
     return Ys, Yps
@@ -185,25 +171,10 @@ class JacobiPropagator:
 
     def evaluate(self, t):
         """Cubic Hermite interpolation of (M, M') between samples."""
-        t = float(t)
-        times = self.times
-        if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
-            raise ParameterError("time outside the propagator domain")
-        i = int(np.searchsorted(times, t, side="right") - 1)
-        i = min(max(i, 0), len(times) - 2)
-        h = times[i + 1] - times[i]
-        s = (t - times[i]) / h
-        K = self.profile.K
-        m0, m1 = self.M[i], self.M[i + 1]
-        d0, d1 = self.Mp[i], self.Mp[i + 1]
-        dd0, dd1 = -K[i] @ m0, -K[i + 1] @ m1
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s**2 * (3 - 2 * s)
-        h11 = s**2 * (s - 1)
-        M = h00 * m0 + h10 * h * d0 + h01 * m1 + h11 * h * d1
-        Mp = h00 * d0 + h10 * h * dd0 + h01 * d1 + h11 * h * dd1
-        return M, Mp
+        i, s, h = _locate(self.times, float(t), "propagator")
+        M, Mp = self.M[i : i + 2], self.Mp[i : i + 2]
+        Mpp = -self.profile.K[i : i + 2] @ M  # the Jacobi equation
+        return _hermite(s, h, M, Mp)[0], _hermite(s, h, Mp, Mpp)[0]
 
     def lagrangian_defect(self):
         """Max deviation of M^T M' - M'^T M from zero over all samples."""

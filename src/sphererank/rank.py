@@ -146,12 +146,11 @@ class RankVerdict:
 # normalization
 
 
-def normalize_to_bound(model, bound, scan_samples=4096, seed=0):
+def normalize_to_bound(model, bound):
     """Scale the metric so the requested curvature extreme becomes exactly 1.
 
     The exact closed-form extremes of the built-in models are used (the
-    sampled scan systematically undershoots isolated extremes); the scan
-    parameters are accepted for interface compatibility.
+    sampled scan systematically undershoots isolated extremes).
     """
     if bound not in ("upper", "lower"):
         raise ParameterError("bound must be 'upper' or 'lower'")
@@ -189,9 +188,18 @@ def _bundle(model, P, W, horizon, step):
     times, X, V = times[keep], X[keep], V[keep]
     Xm, Vm = hermite_midpoints(model, times, X, V)
     E = frame_arrays(model, times, X, V, Xm, Vm)
-    K, _ = profile_arrays(model, V, E)
+    K, defect = profile_arrays(model, V, E)
     Kmid = interval_midpoints(times, K)
-    return {"times": times, "X": X, "V": V, "E": E, "K": K, "Kmid": Kmid, "step": 2 * step}
+    return {
+        "times": times,
+        "X": X,
+        "V": V,
+        "E": E,
+        "K": K,
+        "Kmid": Kmid,
+        "defect": defect,
+        "step": 2 * step,
+    }
 
 
 def _propagate_bundle(bundle, with_second=False):
@@ -213,7 +221,7 @@ def _views(model, bundle, sols, b):
     traj = Trajectory(model, times, bundle["X"][:, b], bundle["V"][:, b], bundle["step"])
     k = bundle["K"].shape[-1]
     fields = [ParallelField(traj, bundle["E"][:, b, a]) for a in range(k)]
-    profile = CurvatureProfile(traj, fields, bundle["K"][:, b], 0.0)
+    profile = CurvatureProfile(traj, fields, bundle["K"][:, b], float(bundle["defect"][b]))
     profile._mid = bundle["Kmid"][:, b]
     prop = JacobiPropagator(profile, times, sols["M"][:, b], sols["Mp"][:, b])
     return profile, prop

@@ -1,0 +1,107 @@
+"""Invariants of the integration pipeline that the closed-form suites do not pin:
+off-grid parallel transport, per-geodesic health numbers in bundle views, and
+bit-identical verdicts across chunk sizes."""
+
+import math
+
+import numpy as np
+import pytest
+
+import sphererank as sr
+from sphererank import rank as rank_mod
+from sphererank.geometry import pair_inner
+
+SEED = 20240809
+
+
+def _flow(model, p, v, horizon):
+    point = sr.make_point(model, p)
+    state = sr.GeodesicState(point, sr.make_tangent(model, point, v))
+    return sr.geodesic_flow(model, state, horizon, 1e-3)
+
+
+# ---------------------------------------------------------------------------
+# parallel transport with endpoints off the sample grid
+
+
+@pytest.mark.parametrize(
+    "t_from, t_to", [(0.00037, 2.70031), (2.70031, 0.00037), (0.1234567, 5.0)]
+)
+def test_transport_off_grid_on_round_sphere(t_from, t_to):
+    # great circle in the x-z plane: e_y is parallel and gamma' is transported to gamma'
+    traj = _flow(sr.RoundSphere(2), [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], 5.0)
+    start, end = traj.state_at(t_from), traj.state_at(t_to)
+    e_y = sr.Tangent(start.point, np.array([0.0, 1.0, 0.0]))
+    normal = sr.parallel_transport(traj, e_y, t_from, t_to)
+    assert np.linalg.norm(normal.components - [0.0, 1.0, 0.0]) < 1e-10
+    assert np.array_equal(normal.base.coordinates, end.point.coordinates)
+    vel = sr.parallel_transport(traj, start.velocity, t_from, t_to)
+    assert np.linalg.norm(vel.components - end.velocity.components) < 1e-10
+
+
+def test_transport_off_grid_round_trip_on_berger():
+    model = sr.BergerSphere(0.8)
+    w0 = np.array([0.3, 0.7, -0.2])
+    traj = _flow(model, [1.0, 0.0, 0.0, 0.0], w0 / math.sqrt(float(model.inner(w0, w0))), 3.0)
+    a, b = 0.00041, 2.9997
+    u = sr.Tangent(traj.state_at(a).point, np.array([0.2, -0.5, 0.9]))
+    there = sr.parallel_transport(traj, u, a, b)
+    back = sr.parallel_transport(traj, there, b, a)
+    assert np.linalg.norm(back.components - u.components) < 1e-10
+    norm2 = float(model.inner(u.components, u.components))
+    assert abs(float(model.inner(there.components, there.components)) - norm2) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# bundle views
+
+
+def test_bundle_views_report_symmetry_defect():
+    model = sr.ComplexProjective(2)
+    P, W = sr.GeodesicSampler(3, SEED).states(model)
+    bundle = rank_mod._bundle(model, P, W, 1.0, 1e-3)
+    sols = rank_mod._propagate_bundle(bundle)
+    vb = bundle["V"][..., None, :]
+    raw = pair_inner(model, model.curvature(bundle["E"], vb, vb), bundle["E"])
+    expected = np.max(np.abs(raw - np.swapaxes(raw, -1, -2)), axis=(0, 2, 3))
+    assert np.all(expected > 0)  # rounding leaves K slightly asymmetric
+    for b in range(len(P)):
+        profile, _ = rank_mod._views(model, bundle, sols, b)
+        assert profile.symmetry_defect == expected[b]
+
+
+# ---------------------------------------------------------------------------
+# chunking
+
+
+def _digest(verdict):
+    return (
+        verdict.holds,
+        verdict.worst_case,
+        verdict.detail,
+        [
+            (
+                e.index,
+                [(ev.time, ev.multiplicity) for ev in e.events],
+                e.certificate_deviation,
+                e.weak_deviation,
+            )
+            for e in verdict.evidence
+        ],
+    )
+
+
+def test_results_bit_identical_across_chunk_sizes():
+    sampler = sr.GeodesicSampler(5, SEED)
+    berger = sr.normalize_to_bound(sr.BergerSphere(1.2), "upper")
+    checks = [
+        lambda chunk: sr.check_positive_spherical_rank(
+            sr.ComplexProjective(2), sampler, chunk=chunk
+        ),
+        lambda chunk: sr.check_positive_spherical_rank(berger, sampler, chunk=chunk),
+        lambda chunk: sr.check_weak_spherical_rank(
+            berger, "upper", sampler, method="witness", chunk=chunk
+        ),
+    ]
+    for check in checks:
+        assert _digest(check(2)) == _digest(check(5))
