@@ -39,12 +39,27 @@ PLANE_GRAM_TOL = 1e-14
 # quaternion and complex helpers
 
 
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def _cross3(a, b):
+    """Cross product of 3-vectors, broadcasting over leading axes.
+
+    Component ``i`` is ``a[i+1] b[i+2] - a[i+2] b[i+1]`` (indices mod 3): the
+    products and differences of NumPy's own 3-vector branch, so results are
+    bit-identical, without its axis handling, which costs more than the
+    arithmetic on the small arrays of an RK4 stage.
+    """
+    a1, a2 = a.take(_NEXT, axis=-1), a.take(_PREV, axis=-1)
+    return a1 * b.take(_PREV, axis=-1) - a2 * b.take(_NEXT, axis=-1)
+
+
 def quat_mul(a, b):
     """Hamilton product, broadcasting over leading axes; layout (w, x, y, z)."""
     aw, av = a[..., :1], a[..., 1:]
     bw, bv = b[..., :1], b[..., 1:]
-    w = aw * bw - np.sum(av * bv, axis=-1, keepdims=True)
-    v = aw * bv + bw * av + np.cross(av, bv)
+    w = aw * bw - np.add.reduce(av * bv, axis=-1, keepdims=True)
+    v = aw * bv + bw * av + _cross3(av, bv)
     return np.concatenate([w, v], axis=-1)
 
 
@@ -64,8 +79,13 @@ def body_components(q, u):
 
 
 def ambient_from_body(q, w):
-    zeros = np.zeros(w.shape[:-1] + (1,), dtype=float)
-    return quat_mul(q, np.concatenate([zeros, w], axis=-1))
+    """The ambient vector ``q * (0, w)`` of the body components ``w`` at ``q``."""
+    qw, qv = q[..., :1], q[..., 1:]
+    v = qw * w + _cross3(qv, w)
+    out = np.empty(v.shape[:-1] + (4,), dtype=v.dtype)
+    out[..., 0] = -np.add.reduce(qv * w, axis=-1)
+    out[..., 1:] = v
+    return out
 
 
 def jmul(v):
@@ -293,11 +313,11 @@ class BergerSphere(ManifoldModel):
     def state_rhs(self, x, v):
         """Quaternion velocity and the reduced (Euler) equation on the frame coefficients."""
         g = self.metric_weights
-        return ambient_from_body(x, v), 2.0 * np.cross(g * v, v) / g
+        return ambient_from_body(x, v), 2.0 * _cross3(g * v, v) / g
 
     def transport_rhs(self, w, x, v):
         g = self.metric_weights
-        return -np.cross(v, w) + (np.cross(g * w, v) + np.cross(g * v, w)) / g
+        return -_cross3(v, w) + (_cross3(g * w, v) + _cross3(g * v, w)) / g
 
     def tangent_basis(self, p):
         eye = np.eye(4)
@@ -671,9 +691,9 @@ def _berger_plane_samples(core, points, u):
     )
     # orthonormal completion of n in the frame where g is Euclidean
     ref = np.where(np.abs(n[..., :1]) < 0.9, np.eye(3)[0], np.eye(3)[1])
-    v1 = np.cross(n, ref)
+    v1 = _cross3(n, ref)
     v1 /= np.linalg.norm(v1, axis=-1, keepdims=True)
-    v2 = np.cross(n, v1)
+    v2 = _cross3(n, v1)
     scale = np.array([1.0 / core.eta, 1.0, 1.0])  # orthonormal frame -> {i,j,k} coefficients
     return v1 * scale, v2 * scale
 

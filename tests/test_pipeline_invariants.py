@@ -1,6 +1,6 @@
 """Invariants of the integration pipeline that the closed-form suites do not pin:
-off-grid parallel transport, per-geodesic health numbers in bundle views, and
-bit-identical verdicts across chunk sizes."""
+off-grid parallel transport, per-geodesic health numbers in bundle views,
+bit-identical verdicts across chunk sizes, and the explicit Berger kernels."""
 
 import math
 
@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import sphererank as sr
+from sphererank import geodesics
 from sphererank import rank as rank_mod
-from sphererank.geometry import pair_inner
+from sphererank.geometry import _cross3, ambient_from_body, pair_inner, quat_mul
 
 SEED = 20240809
 
@@ -105,3 +106,68 @@ def test_results_bit_identical_across_chunk_sizes():
     ]
     for check in checks:
         assert _digest(check(2)) == _digest(check(5))
+
+
+# ---------------------------------------------------------------------------
+# explicit Berger kernels against the np.cross formulas
+
+
+def _unit_quaternions(rng, shape):
+    q = rng.normal(size=shape + (4,))
+    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize(
+    "shape_a, shape_b", [((64, 3), (64, 3)), ((64, 1, 3), (64, 2, 3)), ((3,), (3,))]
+)
+def test_cross3_is_bitwise_np_cross(shape_a, shape_b):
+    rng = np.random.default_rng(SEED)
+    a, b = rng.normal(size=shape_a), rng.normal(size=shape_b)
+    got, want = _cross3(a, b), np.cross(a, b)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_berger_rhs_equal_np_cross_formulas():
+    rng = np.random.default_rng(SEED)
+    model = sr.BergerSphere(1.2)
+    g = model.metric_weights
+    x, v = _unit_quaternions(rng, (64,)), rng.normal(size=(64, 3))
+    _, dv = model.state_rhs(x, v)
+    assert np.all(dv == 2.0 * np.cross(g * v, v) / g)
+
+    scaled = sr.Scaled(sr.BergerSphere(0.5), 1.7)
+    g = scaled.base.metric_weights
+    x, v = _unit_quaternions(rng, (64, 1)), rng.normal(size=(64, 1, 3))
+    w = rng.normal(size=(64, 2, 3))
+    want = -np.cross(v, w) + (np.cross(g * w, v) + np.cross(g * v, w)) / g
+    assert np.all(scaled.transport_rhs(w, x, v) == want)
+
+
+@pytest.mark.parametrize("shape", [(64,), ()])
+def test_ambient_from_body_is_product_with_pure_quaternion(shape):
+    rng = np.random.default_rng(SEED)
+    q, w = _unit_quaternions(rng, shape), rng.normal(size=shape + (3,))
+    pure = np.concatenate([np.zeros(shape + (1,)), w], axis=-1)
+    assert np.array_equal(ambient_from_body(q, w), quat_mul(q, pure))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [sr.normalize_to_bound(sr.BergerSphere(1.2), "upper"), sr.BergerSphere(0.5)],
+    ids=["berger1.2-upper", "berger0.5"],
+)
+def test_batch_of_one_equals_bundle_row(model):
+    P, W = sr.GeodesicSampler(8, SEED).states(model)
+    times = geodesics.time_grid(1.0, 1e-3)
+
+    def flow_and_frame(p, w):
+        X, V = geodesics.flow_arrays(model, p, w, times)
+        Xm, Vm = geodesics.hermite_midpoints(model, times, X, V)
+        return X, V, geodesics.frame_arrays(model, times, X, V, Xm, Vm)
+
+    bundle = flow_and_frame(P, W)
+    single = flow_and_frame(P[5], W[5])
+    for one, many in zip(single, bundle):
+        assert one.ndim == many.ndim - 1
+        assert np.array_equal(one, many[:, 5])
