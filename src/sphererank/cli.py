@@ -383,7 +383,6 @@ def cmd_rank(manifest, prop):
             side,
             sampler,
             tol=float(tols["weak_tol"]),
-            rank_tol=float(tols["rank_tol"]),
             step=step,
         )
     else:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sphererank as sr
+from sphererank import rank as rank_mod
 from sphererank.geometry import unwrap
 
 
@@ -228,6 +229,43 @@ def test_weak_rank_vertical_geodesic_handled():
     fiber = v.evidence[0]
     assert fiber.passes
     assert fiber.excluded_samples > 1000  # the witness vanishes at every sample
+
+
+@pytest.mark.parametrize(
+    "model",
+    [sr.ComplexProjective(2), sr.BergerSphere(1.2)],
+    ids=["cp2", "berger1.2"],
+)
+def test_weak_rank_search_finds_field_where_theory_says_it_exists(model):
+    # upper-normalized CP^2 carries sin(t) J gamma'; Berger(1.2) the Killing field
+    up = sr.normalize_to_bound(model, "upper")
+    v = sr.check_weak_spherical_rank(up, "upper", sr.GeodesicSampler(12, 5), method="search")
+    assert v.holds
+    assert max(e.weak_deviation for e in v.evidence) <= 1e-12
+
+
+def test_weak_field_search_returns_exact_jacobi_field():
+    up = sr.normalize_to_bound(sr.BergerSphere(1.2), "upper")
+    P, W = sr.GeodesicSampler(12, 5).states(up)
+    bundle = rank_mod._bundle(up, P[9:10], W[9:10], math.pi, 1e-3)
+    sols = rank_mod._propagate_bundle(bundle, with_second=True)
+    times, K, M, N = bundle["times"], bundle["K"][:, 0], sols["M"][:, 0], sols["N"][:, 0]
+    dev, excluded, s = sr.weak_field_search(times, K, M, N, 1e-5)
+    assert dev <= 1e-5 and excluded == 0
+    assert np.linalg.norm(s) == pytest.approx(1.0)
+    k = K.shape[-1]
+    y = np.einsum("tij,j->ti", N, s[:k]) + np.einsum("tij,j->ti", M, s[k:])
+    residual = np.einsum("tij,tj->ti", K - np.eye(k), y)
+    assert np.max(np.abs(residual)) <= 1e-10
+
+
+def test_weak_rank_search_still_rejects_berger_half():
+    # upper-normalized Berger(0.5) has sec(gamma', J) < 1 somewhere on every
+    # sampled geodesic, whichever normal Jacobi field J is taken
+    up = sr.normalize_to_bound(sr.BergerSphere(0.5), "upper")
+    v = sr.check_weak_spherical_rank(up, "upper", sr.GeodesicSampler(12, 5), method="search")
+    assert not v.holds
+    assert not any(e.passes for e in v.evidence)
 
 
 # ---------------------------------------------------------------------------
