@@ -4,8 +4,10 @@ Working in a parallel g-orthonormal normal frame reduces the Jacobi equation
 along a unit-speed geodesic to the linear system ``y'' + K(t) y = 0`` where
 ``K_ab(t) = <R(E_a, v) v, E_b>``.  The fundamental matrix solution with
 ``M(0) = 0`` and ``M'(0) = I`` encodes every Jacobi field vanishing at 0;
-conjugate times are the singularities of ``M`` and multiplicities are its
-rank defects.
+conjugate times are the singular times of ``M`` and multiplicities are its
+rank defects.  The Maslov index of the Lagrangian frame (M, M') counts them
+exactly (``JacobiPropagator.morse_count``), and ``detect_events`` locates
+them by bisection on that count.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ from .geodesics import ParallelField, Trajectory, _hermite, _locate, _rk4
 from .geometry import pair_inner
 
 EVENT_TIME_RESOLUTION = 1e-8
-EVENT_MERGE_TOL = 1e-5
 DEFAULT_RANK_TOL = 1e-7
-_BRACKET_FRACTION = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +159,7 @@ class JacobiPropagator:
 
     def __post_init__(self):
         self._sigma = None
+        self._theta = None
 
     @property
     def order(self):
@@ -175,6 +176,28 @@ class JacobiPropagator:
         M, Mp = self.M[i : i + 2], self.Mp[i : i + 2]
         Mpp = -self.profile.K[i : i + 2] @ M  # the Jacobi equation
         return _hermite(s, h, M, Mp)[0], _hermite(s, h, Mp, Mpp)[0]
+
+    def morse_count(self, t):
+        """Conjugate times in (0, t] with multiplicity, from the Maslov index.
+
+        W = Z conj(Z)^-1 with Z = M' + iM is unitary and has eigenvalue 1
+        exactly on ker M, where the crossing form <M'a, M'a> is positive:
+        its eigen-angles pass 0 mod 2pi upward only.  Their continuous sum is
+        Theta = 2 arg det Z (unwrapped on the grid from Theta(0) = 0), so the
+        count is (Theta - sum phi_j) / 2pi with phi_j in [0, 2pi).  Off the
+        grid, Theta is the next node's plus a change far below pi.
+        """
+        t = float(t)
+        if t <= self.times[0]:
+            return 0  # M(0) = 0 is the initial condition, not a conjugate point
+        if self._theta is None:
+            self._theta = np.unwrap(2.0 * np.angle(np.linalg.det(self.Mp + 1j * self.M)))
+        M, Mp = self.evaluate(t)
+        Z = Mp + 1j * M
+        # conj(Z)^-1 Z is similar to W and has its eigenvalues
+        phi = np.angle(np.linalg.eigvals(np.linalg.solve(Z.conj(), Z))) % (2.0 * math.pi)
+        theta = self._theta[min(np.searchsorted(self.times, t), len(self.times) - 1)]
+        return int(round((theta - phi.sum()) / (2.0 * math.pi)))
 
     def lagrangian_defect(self):
         """Max deviation of M^T M' - M'^T M from zero over all samples."""
@@ -207,111 +230,73 @@ class ConjugateEvent:
             raise ParameterError("conjugate events need time > 0 and multiplicity >= 1")
 
 
-def _golden_minimize(f, a, b, tol):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+def detect_events(propagator, window, rank_tol=DEFAULT_RANK_TOL):
+    """Conjugate events in ``(t0, t1]`` by bisection on the Morse count.
 
-
-def detect_events(propagator, window, rank_tol=DEFAULT_RANK_TOL, stride=1):
-    """Locate singular times of M inside ``window`` and count their rank defects."""
+    The count is nondecreasing, so equal counts at the two ends of an
+    interval prove it holds no conjugate time.  The window is halved while
+    the end counts differ, down to ``EVENT_TIME_RESOLUTION``; each final
+    bracket is one event at its midpoint (brackets sharing an end are one
+    bracket: their crossings are inseparable at that width), and the count
+    jump across it is the multiplicity.  ``rank_tol`` is the confirming
+    test: an event is kept only if M has a singular value below
+    ``rank_tol`` times the operator norm of M' at the event time.
+    """
     t0, t1 = float(window[0]), float(window[1])
     if not t1 > t0:
         raise ParameterError("conjugate-point window is empty")
+    if not rank_tol > 0:
+        raise ParameterError("rank_tol must be positive")
     times = propagator.times
     if t0 < times[0] - 1e-9 or t1 > times[-1] + 1e-9:
         raise ParameterError("window must lie inside the propagator domain")
-    idx = np.arange(0, len(times), max(1, int(stride)))
-    if idx[-1] != len(times) - 1:
-        idx = np.append(idx, len(times) - 1)
-    sub = times[idx]
-    lo = max(0, int(np.searchsorted(sub, t0)) - 1)
-    hi = min(len(sub) - 1, int(np.searchsorted(sub, t1)) + 1)
-    if hi <= lo:
-        return []
-    sigma = np.linalg.svd(propagator.M[idx[lo : hi + 1]], compute_uv=False)[..., -1]
-    scale = max(1.0, float(np.max(np.abs(propagator.Mp))) )
-    thresh = _BRACKET_FRACTION * scale
-
-    candidates = []
-    for j in range(len(sigma)):
-        if idx[lo + j] == 0:
-            continue  # M(0) = 0 is the initial condition, not a conjugate point
-        if sigma[j] >= thresh:
+    t1 = min(t1, float(times[-1]))  # the interpolant ends at the last sample
+    count = propagator.morse_count
+    brackets, stack = [], [(t0, count(t0), t1, count(t1))]
+    while stack:  # depth first, left half first: brackets come out in time order
+        a, ca, b, cb = stack.pop()
+        if ca == cb:
             continue
-        left = sigma[j - 1] if j > 0 else np.inf
-        right = sigma[j + 1] if j + 1 < len(sigma) else np.inf
-        if sigma[j] <= left and sigma[j] < right:
-            candidates.append(j)
-        elif j == len(sigma) - 1 and sigma[j] <= left:
-            candidates.append(j)
-
-    events = []
-    for j in candidates:
-        ia = idx[lo + max(0, j - 1)]
-        ib = idx[min(hi, lo + j + 1)]
-        a, b = times[ia], times[ib]
-
-        def smin(t):
-            M, _ = propagator.evaluate(t)
-            return np.linalg.svd(M, compute_uv=False)[-1]
-
-        t_star = _golden_minimize(smin, a, b, EVENT_TIME_RESOLUTION)
-        M, Mp = propagator.evaluate(t_star)
-        svals = np.linalg.svd(M, compute_uv=False)
-        mp_norm = np.linalg.svd(Mp, compute_uv=False)[0]
-        mult = int(np.sum(svals < rank_tol * max(mp_norm, 1e-300)))
-        if mult < 1:
-            continue
-        if not (t0 + 1e-12 < t_star <= t1 + 1e-12):
-            continue
-        events.append((t_star, mult))
-
-    events.sort()
-    merged = []
-    for t_star, mult in events:
-        if merged and abs(t_star - merged[-1][0]) < 1e-7:
-            # the same zero found from two brackets
-            merged[-1][1] = max(merged[-1][1], mult)
-        elif merged and abs(t_star - merged[-1][0]) < EVENT_MERGE_TOL:
-            # a degenerate zero split by discretization
-            merged[-1][1] += mult
+        if b - a > EVENT_TIME_RESOLUTION:
+            m = 0.5 * (a + b)
+            cm = count(m)
+            stack += [(m, cm, b, cb), (a, ca, m, cm)]
+        elif brackets and brackets[-1][1] == a:
+            brackets[-1] = (brackets[-1][0], b, brackets[-1][2] + cb - ca)
         else:
-            merged.append([t_star, mult])
-    return [ConjugateEvent(float(t), int(m)) for t, m in merged]
+            brackets.append((a, b, cb - ca))
+    events = []
+    for a, b, jump in brackets:
+        t_star = 0.5 * (a + b)
+        M, Mp = propagator.evaluate(t_star)
+        sigma = np.linalg.svd(M, compute_uv=False)[-1]
+        if jump >= 1 and sigma < rank_tol * max(np.linalg.norm(Mp, 2), 1e-300):
+            events.append(ConjugateEvent(t_star, jump))
+    return events
 
 
 def conjugate_points(propagator, window, rank_tol=DEFAULT_RANK_TOL):
     """Conjugate events (time, multiplicity) of the propagator inside ``window``."""
-    return detect_events(propagator, window, rank_tol=rank_tol, stride=1)
+    return detect_events(propagator, window, rank_tol=rank_tol)
 
 
 def fixed_endpoint_index(propagator, L, rank_tol=DEFAULT_RANK_TOL):
     """Morse index of the fixed-endpoint problem on [0, L].
 
-    Counts conjugate events in the open interval (0, L) with multiplicity.
-    ``L`` may not itself be within 1e-6 of a conjugate time.
+    The Morse count at ``L - 1e-6``; if the count at ``L + 1e-6`` differs,
+    ``L`` is within 1e-6 of a conjugate time and ``AmbiguousEndpointError``
+    is raised.  The count needs no threshold: ``rank_tol`` is only checked
+    to be positive, as in ``detect_events``.
     """
+    if not rank_tol > 0:
+        raise ParameterError("rank_tol must be positive")
     times = propagator.times
     if L <= times[0] or L > times[-1] + 1e-12:
         raise ParameterError("endpoint outside the propagator domain")
-    upto = min(float(times[-1]), L + 1e-5)
-    events = detect_events(propagator, (times[0], upto), rank_tol=rank_tol)
-    for e in events:
-        if abs(e.time - L) <= 1e-6:
-            raise AmbiguousEndpointError("endpoint is itself a conjugate time")
-    return int(sum(e.multiplicity for e in events if e.time < L))
+    below = propagator.morse_count(L - 1e-6)
+    if propagator.morse_count(min(float(times[-1]), L + 1e-6)) != below:
+        raise AmbiguousEndpointError("endpoint is itself a conjugate time")
+    return below
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ from .geometry import (
 from .jacobi import (
     CurvatureProfile,
     JacobiPropagator,
-    _golden_minimize,
     detect_events,
     interval_midpoints,
     profile_arrays,
@@ -231,10 +230,6 @@ def _views(model, bundle, sols, b):
     return profile, prop
 
 
-def _detect_stride(grid_step):
-    return max(1, int(round(0.004 / grid_step)))
-
-
 # ---------------------------------------------------------------------------
 # positive spherical rank
 
@@ -285,12 +280,9 @@ def check_positive_spherical_rank(
             sampled_sec_max = max(
                 sampled_sec_max, float(np.max(np.linalg.eigvalsh(bundle["K"][::4])))
             )
-            stride = _detect_stride(bundle["step"])
             for i in range(b - a):
                 profile, prop = _views(model, bundle, sols, i)
-                events = detect_events(
-                    prop, (0.0, window_end), rank_tol=rank_tol, stride=stride
-                )
+                events = detect_events(prop, (0.0, window_end), rank_tol=rank_tol)
                 cert = spherical_witness(profile.K, certificate_tol) if with_cert else None
                 out[a + i] = (events, cert)
         return out
@@ -562,6 +554,23 @@ class BergerReportRow:
             "lower_normalizable": self.lower_normalizable,
             "note": self.note,
         }
+
+
+def _golden_minimize(f, a, b, tol):
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
 
 
 def measure_fiber_time(eta, step=DEFAULT_STEP):

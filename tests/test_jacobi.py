@@ -126,11 +126,32 @@ def test_round3_conjugate_event():
 
 def test_cpn_conjugate_event_multiplicity_one():
     m = sr.ComplexProjective(2)
-    _, _, prop = _pipeline(m, [1, 0, 0, 0, 0, 0], 0.5 * np.array([0, 1, 0, 0, 0, 0.0]), 4.0)
-    events = sr.conjugate_points(prop, (0.0, 4.0))
-    assert [(round(e.time, 6), e.multiplicity) for e in events] == [
-        (round(math.pi, 6), 1)
-    ]
+    v = 0.5 * np.array([0, 1, 0, 0, 0, 0.0])
+    for horizon, expected in [
+        (4.0, [(math.pi, 1)]),
+        # every normal Jacobi field vanishing at 0 vanishes again at 2pi
+        (2 * math.pi + 0.2, [(math.pi, 1), (2 * math.pi, 3)]),
+    ]:
+        _, _, prop = _pipeline(m, [1, 0, 0, 0, 0, 0], v, horizon)
+        events = sr.conjugate_points(prop, (0.0, horizon))
+        assert [(round(e.time, 6), e.multiplicity) for e in events] == [
+            (round(t, 6), k) for t, k in expected
+        ]
+
+
+def test_crossings_within_the_time_resolution_are_one_event():
+    # K = diag(1, 1 + eps) puts simple zeros of M at pi / sqrt(1 + eps) and at
+    # pi, 3e-9 apart; the window (c - 1, c + 1) makes their midpoint c the
+    # first bisection point, so each half holds one crossing
+    traj, profile, _ = _pipeline(sr.RoundSphere(3), [1, 0, 0, 0], [0, 1, 0, 0], 6.5)
+    eps = 2e-9
+    K = np.broadcast_to(np.diag([1.0, 1.0 + eps]), profile.K.shape).copy()
+    prop = sr.jacobi_propagate(sr.CurvatureProfile(traj, profile.frame, K, 0.0))
+    c = 0.5 * (math.pi / math.sqrt(1.0 + eps) + math.pi)
+    for window in ((c - 1.0, c + 1.0), (0.0, 4.0)):
+        events = sr.conjugate_points(prop, window)
+        assert [e.multiplicity for e in events] == [2]
+        assert events[0].time == pytest.approx(c, abs=1e-8)
 
 
 def test_berger_horizontal_conjugates_match_reduction_oracle():
@@ -202,6 +223,32 @@ def test_fixed_endpoint_index():
     m = sr.ComplexProjective(2)
     _, _, pc = _pipeline(m, [1, 0, 0, 0, 0, 0], 0.5 * np.array([0, 1, 0, 0, 0, 0.0]), 5.0)
     assert sr.fixed_endpoint_index(pc, 3 * math.pi / 2) == 1
+
+    # S^n: every normal direction is conjugate at each multiple of pi
+    lengths = (
+        1.0, math.pi - 0.01, math.pi + 0.01, 4.5, 2 * math.pi - 0.01, 2 * math.pi + 0.01, 6.9
+    )
+    for n in (2, 4, 6):
+        e = np.eye(n + 1)
+        _, _, ps = _pipeline(sr.RoundSphere(n), e[0], e[1], 7.0)
+        for L in lengths:
+            assert sr.fixed_endpoint_index(ps, L) == (n - 1) * math.floor(L / math.pi)
+        with pytest.raises(sr.AmbiguousEndpointError):
+            sr.fixed_endpoint_index(ps, 2 * math.pi)
+
+
+def test_nonpositive_rank_tol_rejected():
+    # a zero or negative confirming threshold would drop every event
+    _, _, prop = _pipeline(sr.RoundSphere(3), [1, 0, 0, 0], [0, 1, 0, 0], 4.0)
+    for tol in (0.0, -1e-7):
+        with pytest.raises(sr.ParameterError):
+            sr.conjugate_points(prop, (0.0, 4.0), rank_tol=tol)
+        with pytest.raises(sr.ParameterError):
+            sr.fixed_endpoint_index(prop, 3.5, rank_tol=tol)
+        with pytest.raises(sr.ParameterError):
+            sr.check_positive_spherical_rank(
+                sr.RoundSphere(3), sr.GeodesicSampler(2, 1), rank_tol=tol
+            )
 
 
 def test_lagrangian_identity_fuzz():
