@@ -183,21 +183,45 @@ class JacobiPropagator:
         W = Z conj(Z)^-1 with Z = M' + iM is unitary and has eigenvalue 1
         exactly on ker M, where the crossing form <M'a, M'a> is positive:
         its eigen-angles pass 0 mod 2pi upward only.  Their continuous sum is
-        Theta = 2 arg det Z (unwrapped on the grid from Theta(0) = 0), so the
-        count is (Theta - sum phi_j) / 2pi with phi_j in [0, 2pi).  Off the
-        grid, Theta is the next node's plus a change far below pi.
+        Theta = 2 arg det Z, so the count is (Theta - sum phi_j) / 2pi with
+        phi_j in [0, 2pi).  Theta is unwrapped from Theta(0) = 0 on nodes
+        where it changes by less than pi/2 from one to the next, and off the
+        nodes it is the next node's plus that change.
         """
         t = float(t)
         if t <= self.times[0]:
             return 0  # M(0) = 0 is the initial condition, not a conjugate point
         if self._theta is None:
-            self._theta = np.unwrap(2.0 * np.angle(np.linalg.det(self.Mp + 1j * self.M)))
+            self._theta = self._theta_nodes()
+        nodes, theta = self._theta
         M, Mp = self.evaluate(t)
         Z = Mp + 1j * M
         # conj(Z)^-1 Z is similar to W and has its eigenvalues
         phi = np.angle(np.linalg.eigvals(np.linalg.solve(Z.conj(), Z))) % (2.0 * math.pi)
-        theta = self._theta[min(np.searchsorted(self.times, t), len(self.times) - 1)]
+        theta = theta[min(np.searchsorted(nodes, t), len(nodes) - 1)]
         return int(round((theta - phi.sum()) / (2.0 * math.pi)))
+
+    def _theta_nodes(self):
+        """Nodes and unwrapped Theta for ``morse_count``.
+
+        |dTheta/dt| is at most 2k max(1, |K|), so each interval on which that
+        bound times the step reaches pi/2 (stiff curvature on a coarse grid)
+        gets evenly spaced Hermite sub-nodes.
+        """
+        times, M, Mp = self.times, self.M, self.Mp
+        rate = 2.0 * self.order * np.maximum(1.0, np.linalg.norm(self.profile.K, axis=(-2, -1)))
+        parts = np.ceil(np.diff(times) * np.maximum(rate[:-1], rate[1:]) / (0.5 * math.pi))
+        coarse = np.nonzero(parts > 1)[0]
+        if coarse.size:
+            extra = np.concatenate(
+                [np.linspace(times[i], times[i + 1], int(parts[i]) + 1)[1:-1] for i in coarse]
+            )
+            pairs = [self.evaluate(s) for s in extra]
+            order = np.argsort(np.concatenate([times, extra]))
+            times = np.concatenate([times, extra])[order]
+            M = np.concatenate([M, [m for m, _ in pairs]])[order]
+            Mp = np.concatenate([Mp, [mp for _, mp in pairs]])[order]
+        return times, np.unwrap(2.0 * np.angle(np.linalg.det(Mp + 1j * M)))
 
     def lagrangian_defect(self):
         """Max deviation of M^T M' - M'^T M from zero over all samples."""
@@ -275,21 +299,16 @@ def detect_events(propagator, window, rank_tol=DEFAULT_RANK_TOL):
     return events
 
 
-def conjugate_points(propagator, window, rank_tol=DEFAULT_RANK_TOL):
-    """Conjugate events (time, multiplicity) of the propagator inside ``window``."""
-    return detect_events(propagator, window, rank_tol=rank_tol)
+conjugate_points = detect_events
 
 
-def fixed_endpoint_index(propagator, L, rank_tol=DEFAULT_RANK_TOL):
+def fixed_endpoint_index(propagator, L):
     """Morse index of the fixed-endpoint problem on [0, L].
 
     The Morse count at ``L - 1e-6``; if the count at ``L + 1e-6`` differs,
     ``L`` is within 1e-6 of a conjugate time and ``AmbiguousEndpointError``
-    is raised.  The count needs no threshold: ``rank_tol`` is only checked
-    to be positive, as in ``detect_events``.
+    is raised.
     """
-    if not rank_tol > 0:
-        raise ParameterError("rank_tol must be positive")
     times = propagator.times
     if L <= times[0] or L > times[-1] + 1e-12:
         raise ParameterError("endpoint outside the propagator domain")

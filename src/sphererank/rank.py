@@ -254,16 +254,13 @@ def check_positive_spherical_rank(
     a violated bound yields the distinct "precondition-failed" status rather
     than ``holds = False``.
     """
+    def unmet(what, sec):
+        detail = f"{what} {sec:.9g} exceeds 1 + {curv_tol:g}"
+        return RankVerdict(POSITIVE_SPHERICAL, False, "precondition-failed", [], None, detail)
+
     lo, hi = curvature_bounds(model)
     if hi > 1.0 + curv_tol:
-        return RankVerdict(
-            property_name=POSITIVE_SPHERICAL,
-            holds=False,
-            status="precondition-failed",
-            evidence=[],
-            worst_case=None,
-            detail=f"curvature bound {hi:.9g} exceeds 1 + {curv_tol:g}",
-        )
+        return unmet("curvature bound", hi)
     window_end = float(event_window) if event_window is not None else math.pi + time_tol
     horizon = max(math.pi, window_end) + 0.05
 
@@ -294,22 +291,11 @@ def check_positive_spherical_rank(
         for idx in primary:
             t1 = [e.time for e in primary[idx][0]]
             t2 = [e.time for e in halved[idx][0]]
-            if len(t1) != len(t2):
-                gaps[idx] = math.inf
-            elif t1:
-                gaps[idx] = max(abs(x - y) for x, y in zip(t1, t2))
-            else:
-                gaps[idx] = 0.0
+            diffs = [abs(x - y) for x, y in zip(t1, t2)]
+            gaps[idx] = max(diffs, default=0.0) if len(t1) == len(t2) else math.inf
 
     if sampled_sec_max > 1.0 + curv_tol:
-        return RankVerdict(
-            property_name=POSITIVE_SPHERICAL,
-            holds=False,
-            status="precondition-failed",
-            evidence=[],
-            worst_case=None,
-            detail=f"sampled curvature {sampled_sec_max:.9g} exceeds 1 + {curv_tol:g}",
-        )
+        return unmet("sampled curvature", sampled_sec_max)
 
     for idx in sorted(primary):
         events, cert = primary[idx]
@@ -319,8 +305,6 @@ def check_positive_spherical_rank(
         gap = gaps.get(idx)
         if gap is not None and not (gap <= RICHARDSON_AGREEMENT):
             ok = False
-        has_cert = cert is not None
-        cert_dev = cert[1] if cert is not None else None
         evidence.append(
             RankEvidence(
                 index=idx,
@@ -328,8 +312,8 @@ def check_positive_spherical_rank(
                 velocity=W[idx],
                 events=events,
                 passes=ok,
-                has_certificate=has_cert,
-                certificate_deviation=cert_dev,
+                has_certificate=cert is not None,
+                certificate_deviation=cert[1] if cert is not None else None,
                 richardson_gap=gap,
             )
         )

@@ -244,11 +244,25 @@ def test_nonpositive_rank_tol_rejected():
         with pytest.raises(sr.ParameterError):
             sr.conjugate_points(prop, (0.0, 4.0), rank_tol=tol)
         with pytest.raises(sr.ParameterError):
-            sr.fixed_endpoint_index(prop, 3.5, rank_tol=tol)
-        with pytest.raises(sr.ParameterError):
             sr.check_positive_spherical_rank(
                 sr.RoundSphere(3), sr.GeodesicSampler(2, 1), rank_tol=tol
             )
+
+
+def test_count_on_a_coarse_grid_with_stiff_curvature():
+    # K = 100 on a 0.01 analysis grid: Theta = 2 arg det(M' + iM) turns by up
+    # to 4 rad per step, more than the unwrap on the bare grid can follow
+    lam = 0.1
+    model = sr.Scaled(sr.RoundSphere(3), lam)
+    P, W = np.array([[1.0, 0, 0, 0]]), np.array([_unit(model, [0, 1, 0, 0])])
+    (_, prop), = _bundle_views(model, P, W, 0.8, step=0.005)
+    assert np.diff(prop.times)[0] == pytest.approx(0.01)
+    events = sr.conjugate_points(prop, (0.0, 0.8))
+    assert [e.multiplicity for e in events] == [2, 2]
+    for j, e in enumerate(events, start=1):
+        assert e.time == pytest.approx(j * math.pi * lam, abs=1e-5)
+    for L, index in ((0.5, 0), (1.5, 2), (2.5, 4)):
+        assert sr.fixed_endpoint_index(prop, L * math.pi * lam) == index
 
 
 def test_lagrangian_identity_fuzz():
