@@ -180,8 +180,8 @@ def resolve_initial(model, manifest, direction):
         _, _, num = direction.partition("-")
         k = int(num) if num else 0
         sampler = _sampler(manifest)
-        if k >= sampler.count:
-            raise ParameterError("sample index exceeds the sampler count")
+        if not 0 <= k < sampler.count:
+            raise ParameterError("sample index must lie in [0, sampler count)")
         P, W = sampler.states(model)
         p = Point(P[k])
         return GeodesicState(p, Tangent(p, W[k]))

@@ -6,9 +6,10 @@ leading batch axis, so a bundle of geodesics advances in lockstep.  The
 model supplies the dynamics: ``state_rhs`` and ``project_state`` for the
 geodesic (ambient second-order equation with constraint projection on the
 sphere models, reduced left-invariant system with quaternion reconstruction
-on the Berger sphere), ``transport_rhs`` and ``project_tangent`` for
-parallel fields.  States between grid nodes come from one cubic Hermite
-interpolator, ``_hermite``, fed with the exact state derivatives.
+on the Berger sphere), ``transport_coeffs``, ``transport_rhs`` and
+``project_tangent`` for parallel fields.  States between grid nodes come from
+one cubic Hermite interpolator, ``_hermite``, fed with the exact state
+derivatives.
 """
 
 from __future__ import annotations
@@ -235,14 +236,19 @@ def exp_map(model, p, v, step=DEFAULT_STEP):
 
 
 def transport_arrays(model, times, X, V, Xm, Vm, w0):
-    """Parallel-transport ``w0`` (..., m, tangent_dim) along a sampled geodesic."""
+    """Parallel-transport ``w0`` (..., m, tangent_dim) along a sampled geodesic.
+
+    The stages read the model's ``transport_coeffs`` of the node and midpoint
+    states, whose first row is the point.
+    """
+    m = w0.shape[-2]
     (W,) = _rk4(
-        lambda x, v, w: (model.transport_rhs(w, x, v),),
+        lambda *c: (model.transport_rhs(c[-1], *c[:-1]),),
         (w0,),
         times,
-        nodes=(X[..., None, :], V[..., None, :]),
-        mids=(Xm[..., None, :], Vm[..., None, :]),
-        project=lambda x, v, w: (model.project_tangent(x, w),),
+        nodes=model.transport_coeffs(X, V, m),
+        mids=model.transport_coeffs(Xm, Vm, m),
+        project=lambda x, *c: (model.project_tangent(x, c[-1]),),
     )
     return W
 

@@ -95,7 +95,9 @@ def jmul(v):
 
 
 def _dot(u, v):
-    return np.einsum("...i,...i->...", u, v)
+    # np.vecdot: on the small (64, d) arrays of an RK4 stage, np.einsum's
+    # argument handling costs as much as the contraction
+    return np.vecdot(u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +150,13 @@ class ManifoldModel:
     * ``tangent_basis(p)`` -- a deterministic spanning set at ``p``;
     * ``state_rhs(x, v)`` -- the geodesic equation as the derivative of the
       state (point, velocity coordinates);
-    * ``transport_rhs(w, x, v)`` -- the derivative of a parallel field
-      ``w`` along velocity ``v`` at ``x``;
+    * ``transport_rhs(w, *c)`` -- the derivative of a parallel field ``w``
+      along a geodesic, given one sample's rows ``c`` of
+      ``transport_coeffs`` (by default the point and the velocity);
     * ``describe()`` -- the manifest form of the model.
 
-    ``canonical_point``, ``point_distance``, ``project_point`` and
-    ``project_state`` have defaults below.
+    ``canonical_point``, ``point_distance``, ``project_point``,
+    ``project_state`` and ``transport_coeffs`` have defaults below.
     """
 
     kind = "abstract"
@@ -176,6 +179,17 @@ class ManifoldModel:
         """Project a geodesic state (point, velocity) back onto the constraint set."""
         x = self.project_point(x)
         return x, self.project_tangent(x, v)
+
+    def transport_coeffs(self, X, V, m):
+        """What ``transport_rhs`` reads of the geodesic samples ``X``, ``V``,
+        computed once for the whole grid rather than at every RK4 stage.
+
+        Returns arrays with the sample axes of ``X`` followed by a vector
+        axis for the ``m`` transported vectors; the first is the point.  One
+        sample's rows ``c`` give the derivative ``transport_rhs(w, *c)``.
+        The default is the state itself, (X[..., None, :], V[..., None, :]).
+        """
+        return X[..., None, :], V[..., None, :]
 
 
 class _AmbientSphere(ManifoldModel):
@@ -319,6 +333,11 @@ class BergerSphere(ManifoldModel):
         g = self.metric_weights
         return -_cross3(v, w) + (_cross3(g * w, v) + _cross3(g * v, w)) / g
 
+    def transport_coeffs(self, X, V, m):
+        # v in the frame's shape: products of equal shapes run as one flat
+        # loop, where a broadcast iterates 3-element rows
+        return X[..., None, :], np.repeat(V[..., None, :], m, axis=-2)
+
     def tangent_basis(self, p):
         eye = np.eye(4)
         basis = np.broadcast_to(eye, p.shape[:-1] + eye.shape)
@@ -389,8 +408,12 @@ class ComplexProjective(_AmbientSphere):
         jp = jmul(p)
         return u - _dot(u, p)[..., None] * p - _dot(u, jp)[..., None] * jp
 
-    def transport_rhs(self, w, x, v):
-        return super().transport_rhs(w, x, v) - _dot(w, jmul(v))[..., None] * jmul(x)
+    def transport_rhs(self, w, x, v, jx, jv):
+        return super().transport_rhs(w, x, v) - _dot(w, jv)[..., None] * jx
+
+    def transport_coeffs(self, X, V, m):
+        x, v = X[..., None, :], V[..., None, :]
+        return x, v, jmul(x), jmul(v)
 
     def canonical_point(self, p):
         m = p.shape[-1] // 2
@@ -493,8 +516,11 @@ class Scaled(ManifoldModel):
         # the geodesic and transport equations are invariant under constant rescaling
         return self.base.state_rhs(x, v)
 
-    def transport_rhs(self, w, x, v):
-        return self.base.transport_rhs(w, x, v)
+    def transport_rhs(self, w, *c):
+        return self.base.transport_rhs(w, *c)
+
+    def transport_coeffs(self, X, V, m):
+        return self.base.transport_coeffs(X, V, m)
 
     def canonical_point(self, p):
         return self.base.canonical_point(p)

@@ -23,6 +23,7 @@ from .geometry import pair_inner
 
 EVENT_TIME_RESOLUTION = 1e-8
 DEFAULT_RANK_TOL = 1e-7
+PROFILE_BLOCK = 256  # samples per block of the curvature profile
 
 
 # ---------------------------------------------------------------------------
@@ -31,9 +32,13 @@ DEFAULT_RANK_TOL = 1e-7
 
 @dataclass(eq=False)
 class CurvatureProfile:
-    """Sampled frame components of the Jacobi operator R(., v)v along a geodesic."""
+    """Sampled frame components of the Jacobi operator R(., v)v along a geodesic.
 
-    trajectory: Trajectory
+    In the views of a rank bundle that kept only K, ``trajectory`` is None
+    and ``frame`` is empty.
+    """
+
+    trajectory: Trajectory | None
     frame: list
     K: np.ndarray
     symmetry_defect: float
@@ -57,15 +62,19 @@ def profile_arrays(model, V, E):
     ``V`` has shape (T, ..., tangent_dim) and ``E`` (T, ..., k, tangent_dim),
     with the samples along each geodesic on the leading axis; the result is
     (T, ..., k, k), symmetrized, together with the symmetry defect
-    max|K - K^T| over the samples of each geodesic, of shape (...).
+    max|K - K^T| over the samples of each geodesic, of shape (...).  The
+    samples are taken ``PROFILE_BLOCK`` at a time, so the temporaries do not
+    grow with T; every operation is per sample, so the blocks change no bit.
     """
-    vb = V[..., None, :]
-    R = model.curvature(E, vb, vb)
-    K = pair_inner(model, R, E)
-    Kt = np.swapaxes(K, -1, -2)
-    # the defect first: its temporaries are freed before the symmetrized copy exists
-    defect = np.max(np.abs(K - Kt), axis=(0, -2, -1))
-    return 0.5 * (K + Kt), defect
+    K = np.empty(E.shape[:-1] + E.shape[-2:-1])
+    defect = np.zeros(E.shape[1:-2])
+    for a in range(0, len(V), PROFILE_BLOCK):
+        e, vb = E[a : a + PROFILE_BLOCK], V[a : a + PROFILE_BLOCK, ..., None, :]
+        Kb = pair_inner(model, model.curvature(e, vb, vb), e)
+        Kt = np.swapaxes(Kb, -1, -2)
+        defect = np.maximum(defect, np.max(np.abs(Kb - Kt), axis=(0, -2, -1)))
+        K[a : a + PROFILE_BLOCK] = 0.5 * (Kb + Kt)
+    return K, defect
 
 
 def curvature_profile(trajectory, frame):

@@ -4,9 +4,11 @@
 unit tangent bundle (plus forced special directions on Berger spheres).  For
 each sampled geodesic the pipeline integrates the trajectory, transports a
 parallel normal frame, assembles the curvature profile, and propagates the
-Jacobi fundamental solution; geodesics in a chunk advance in lockstep so the
-checks stay fast.  Verdicts are deterministic functions of
-(model, sampler seed, tolerances).
+Jacobi fundamental solution; geodesics in a chunk (``DEFAULT_CHUNK`` of them
+unless ``chunk=`` says otherwise) advance in lockstep so the checks stay
+fast, and each chunk's arrays are freed before the next chunk is built, so
+memory is bounded by one chunk.  Verdicts are deterministic functions of
+(model, sampler seed, tolerances), whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .jacobi import (
     spherical_witness,
 )
 
-DEFAULT_CHUNK = 64
+DEFAULT_CHUNK = 128
 DEFAULT_CERT_TOL = 1e-6
 RICHARDSON_AGREEMENT = 1e-7
 
@@ -170,39 +172,48 @@ def normalize_to_bound(model, bound):
 # batched pipeline
 
 
-def _chunked(n, size):
-    for start in range(0, n, size):
-        yield start, min(n, start + size)
+def _by_chunk(n, size, analyze):
+    """The results of ``analyze(a, b)`` over the chunks [a, b) of range(n), concatenated.
+
+    Each chunk is analyzed in a call of its own, so its arrays are freed
+    before the next chunk is built.
+    """
+    return [r for a in range(0, n, size) for r in analyze(a, min(n, a + size))]
 
 
-def _bundle(model, P, W, horizon, step):
+def _bundle(model, P, W, horizon, step, frame=True):
     """Integrate a geodesic bundle at ``step`` and analyze it on a 2x-coarser grid.
 
     Trajectories are integrated at the requested step for accuracy; frames,
     curvature profiles, and Jacobi propagation run on every other sample
     (all schemes stay 4th order, so the coarser grid changes results at the
-    1e-11 level while halving the work).
+    1e-11 level while halving the work).  The samples in between are the
+    interval midpoints that frame transport reads, except on the last
+    interval, which may be one step or end short of a whole step: its
+    midpoint comes from Hermite interpolation.  With ``frame=False`` the
+    states and the frame are dropped once K exists (the positive check reads
+    only K).
     """
-    times = time_grid(horizon, step)
-    X, V = flow_arrays(model, P, W, times)
-    keep = np.arange(0, len(times), 2)
-    if keep[-1] != len(times) - 1:
-        keep = np.append(keep, len(times) - 1)
-    times, X, V = times[keep], X[keep], V[keep]
-    Xm, Vm = hermite_midpoints(model, times, X, V)
+    fine = time_grid(horizon, step)
+    X, V = flow_arrays(model, P, W, fine)
+    keep = np.arange(0, len(fine), 2)
+    if keep[-1] != len(fine) - 1:
+        keep = np.append(keep, len(fine) - 1)
+    mid = keep[:-1] + 1
+    times = fine[keep]
+    Xm, Vm = X[mid], V[mid]
+    X, V = X[keep], V[keep]
+    xm, vm = hermite_midpoints(model, times[-2:], X[-2:], V[-2:])
+    Xm[-1], Vm[-1] = xm[0], vm[0]
     E = frame_arrays(model, times, X, V, Xm, Vm)
+    del Xm, Vm
     K, defect = profile_arrays(model, V, E)
-    Kmid = interval_midpoints(times, K)
-    return {
-        "times": times,
-        "X": X,
-        "V": V,
-        "E": E,
-        "K": K,
-        "Kmid": Kmid,
-        "defect": defect,
-        "step": 2 * step,
-    }
+    bundle = {"times": times, "K": K, "defect": defect, "step": 2 * step}
+    if frame:
+        bundle.update(X=X, V=V, E=E)
+    del X, V, E
+    bundle["Kmid"] = interval_midpoints(times, K)
+    return bundle
 
 
 def _propagate_bundle(bundle, with_second=False):
@@ -219,11 +230,16 @@ def _propagate_bundle(bundle, with_second=False):
 
 
 def _views(model, bundle, sols, b):
-    """Per-geodesic profile/propagator objects backed by bundle slices."""
+    """Per-geodesic profile/propagator objects backed by bundle slices.
+
+    A bundle built with ``frame=False`` gives a profile with no trajectory
+    and no frame fields: its K and the solutions are all detection reads.
+    """
     times = bundle["times"]
-    traj = Trajectory(model, times, bundle["X"][:, b], bundle["V"][:, b], bundle["step"])
-    k = bundle["K"].shape[-1]
-    fields = [ParallelField(traj, bundle["E"][:, b, a]) for a in range(k)]
+    traj, fields = None, []
+    if "E" in bundle:
+        traj = Trajectory(model, times, bundle["X"][:, b], bundle["V"][:, b], bundle["step"])
+        fields = [ParallelField(traj, bundle["E"][:, b, a]) for a in range(bundle["E"].shape[2])]
     profile = CurvatureProfile(traj, fields, bundle["K"][:, b], float(bundle["defect"][b]))
     profile._mid = bundle["Kmid"][:, b]
     prop = JacobiPropagator(profile, times, sols["M"][:, b], sols["Mp"][:, b])
@@ -268,27 +284,26 @@ def check_positive_spherical_rank(
     evidence = []
     sampled_sec_max = -math.inf
 
-    def run_events(P_, W_, step_, with_cert):
-        out = {}
+    def chunk_events(a, b, step_, with_cert):
         nonlocal sampled_sec_max
-        for a, b in _chunked(len(P_), chunk):
-            bundle = _bundle(model, P_[a:b], W_[a:b], horizon, step_)
-            sols = _propagate_bundle(bundle)
-            sampled_sec_max = max(
-                sampled_sec_max, float(np.max(np.linalg.eigvalsh(bundle["K"][::4])))
-            )
-            for i in range(b - a):
-                profile, prop = _views(model, bundle, sols, i)
-                events = detect_events(prop, (0.0, window_end), rank_tol=rank_tol)
-                cert = spherical_witness(profile.K, certificate_tol) if with_cert else None
-                out[a + i] = (events, cert)
+        bundle = _bundle(model, P[a:b], W[a:b], horizon, step_, frame=False)
+        sols = _propagate_bundle(bundle)
+        sampled_sec_max = max(
+            sampled_sec_max, float(np.max(np.linalg.eigvalsh(bundle["K"][::4])))
+        )
+        out = []
+        for i in range(b - a):
+            profile, prop = _views(model, bundle, sols, i)
+            events = detect_events(prop, (0.0, window_end), rank_tol=rank_tol)
+            cert = spherical_witness(profile.K, certificate_tol) if with_cert else None
+            out.append((events, cert))
         return out
 
-    primary = run_events(P, W, step, True)
+    primary = _by_chunk(len(P), chunk, lambda a, b: chunk_events(a, b, step, True))
     gaps = {}
     if richardson:
-        halved = run_events(P, W, step / 2.0, False)
-        for idx in primary:
+        halved = _by_chunk(len(P), chunk, lambda a, b: chunk_events(a, b, step / 2.0, False))
+        for idx in range(len(P)):
             t1 = [e.time for e in primary[idx][0]]
             t2 = [e.time for e in halved[idx][0]]
             diffs = [abs(x - y) for x, y in zip(t1, t2)]
@@ -297,8 +312,7 @@ def check_positive_spherical_rank(
     if sampled_sec_max > 1.0 + curv_tol:
         return unmet("sampled curvature", sampled_sec_max)
 
-    for idx in sorted(primary):
-        events, cert = primary[idx]
+    for idx, (events, cert) in enumerate(primary):
         pi_events = [e for e in events if abs(e.time - math.pi) <= time_tol]
         early = [e for e in events if e.time < math.pi - time_tol]
         ok = bool(pi_events) and not early
@@ -448,13 +462,14 @@ def check_weak_spherical_rank(
     prop_name = WEAK_UPPER if side == "upper" else WEAK_LOWER
 
     P, W = sampler.states(model)
-    evidence = []
     uses_search = method == "search"
-    for a, b in _chunked(len(P), chunk):
-        want_second = uses_search or method == "auto"
+    want_second = uses_search or method == "auto"
+
+    def chunk_evidence(a, b):
         bundle = _bundle(model, P[a:b], W[a:b], horizon, step)
         sols = _propagate_bundle(bundle, with_second=want_second)
         times, K, E, V = bundle["times"], bundle["K"], bundle["E"], bundle["V"]
+        out = []
         for i in range(b - a):
             idx = a + i
             dev, excluded = math.inf, 0
@@ -474,7 +489,7 @@ def check_weak_spherical_rank(
                 )
                 if dev_s < dev:
                     dev, excluded = dev_s, excluded_s
-            evidence.append(
+            out.append(
                 RankEvidence(
                     index=idx,
                     point=P[idx],
@@ -485,7 +500,9 @@ def check_weak_spherical_rank(
                     excluded_samples=excluded,
                 )
             )
+        return out
 
+    evidence = _by_chunk(len(P), chunk, chunk_evidence)
     holds = all(e.passes for e in evidence)
     worst = max(evidence, key=lambda e: e.weak_deviation).index
     if holds:

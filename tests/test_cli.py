@@ -219,6 +219,15 @@ def test_invalid_inputs_exit_2(capsys):
     assert code == 2
 
 
+def test_sample_index_outside_the_sampler_exits_2(capsys):
+    # "sample--1" parses as k = -1, which must not wrap round to the last draw
+    for direction, expected in (("sample--1", 2), ("sample-4", 2), ("sample-3", 0)):
+        argv = ["geodesic", "--model", "round", "--count", "4", "--direction", direction]
+        code = cli.main(argv + ["--horizon", "1.0"])
+        capsys.readouterr()
+        assert code == expected, direction
+
+
 def test_berger_report_command(capsys, tmp_path):
     out = tmp_path / "rows.csv"
     code, report = _run(

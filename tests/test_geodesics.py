@@ -5,7 +5,15 @@ import pytest
 
 import closed_forms as cf
 import sphererank as sr
-from sphererank.geometry import pair_inner
+from sphererank.geodesics import (
+    _rk4,
+    flow_arrays,
+    hermite_midpoints,
+    initial_normal_frame,
+    time_grid,
+    transport_arrays,
+)
+from sphererank.geometry import _cross3, _dot, jmul, pair_inner
 
 
 def _state(model, p, v):
@@ -254,3 +262,40 @@ def test_flow_parameter_errors():
         sr.geodesic_flow(m, st, -1.0, 1e-3)
     with pytest.raises(sr.ParameterError):
         sr.geodesic_flow(m, st, 1.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# transport coefficients computed once per grid
+
+
+def _old_transport_rhs(model, w, x, v):
+    """The transport derivatives as written before ``transport_coeffs``."""
+    core, _ = sr.unwrap(model)
+    if isinstance(core, sr.BergerSphere):
+        g = core.metric_weights
+        return -_cross3(v, w) + (_cross3(g * w, v) + _cross3(g * v, w)) / g
+    return -_dot(w, v)[..., None] * x - _dot(w, jmul(v))[..., None] * jmul(x)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [sr.ComplexProjective(2), sr.Scaled(sr.ComplexProjective(3), 1.3), sr.BergerSphere(0.5),
+     sr.Scaled(sr.BergerSphere(1.2), 0.8)],
+    ids=["cp2", "cp3-scaled", "berger0.5", "berger1.2-scaled"],
+)
+def test_transport_coeffs_are_bitwise_the_old_formulas(model):
+    P, W = sr.GeodesicSampler(8, 11).states(model)
+    times = time_grid(0.5, 1e-3)
+    X, V = flow_arrays(model, P, W, times)
+    Xm, Vm = hermite_midpoints(model, times, X, V)
+    E0 = initial_normal_frame(model, X[0], V[0])
+    got = transport_arrays(model, times, X, V, Xm, Vm, E0)
+    (want,) = _rk4(
+        lambda x, v, w: (_old_transport_rhs(model, w, x, v),),
+        (E0,),
+        times,
+        nodes=(X[..., None, :], V[..., None, :]),
+        mids=(Xm[..., None, :], Vm[..., None, :]),
+        project=lambda x, v, w: (model.project_tangent(x, w),),
+    )
+    assert np.array_equal(got, want)

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -310,3 +311,64 @@ def test_verdict_determinism_across_runs():
     b = sr.check_weak_spherical_rank(m, "upper", sr.GeodesicSampler(5, 21))
     assert [e.weak_deviation for e in a.evidence] == [e.weak_deviation for e in b.evidence]
     assert a.holds == b.holds and a.worst_case == b.worst_case
+
+
+# ---------------------------------------------------------------------------
+# chunking
+
+
+def test_each_chunk_is_released_before_the_next_is_built(monkeypatch):
+    built = []
+    real = rank_mod._bundle
+
+    def spy(*args, **kwargs):
+        assert all(ref() is None for ref in built), "an earlier chunk's K is still alive"
+        bundle = real(*args, **kwargs)
+        built.append(weakref.ref(bundle["K"]))
+        return bundle
+
+    monkeypatch.setattr(rank_mod, "_bundle", spy)
+    sampler = sr.GeodesicSampler(5, 3)
+    m = sr.RoundSphere(2)
+    assert sr.check_positive_spherical_rank(m, sampler, richardson=True, chunk=2).holds
+    assert sr.check_weak_spherical_rank(m, "upper", sampler, method="search", chunk=2).holds
+    assert len(built) == 9  # 3 chunks, twice for Richardson, then 3 for the weak check
+
+
+def _verdict_digest(verdict):
+    return (
+        verdict.holds,
+        verdict.status,
+        verdict.worst_case,
+        verdict.detail,
+        [
+            (
+                e.index,
+                e.passes,
+                [(ev.time, ev.multiplicity) for ev in e.events],
+                e.certificate_deviation,
+                e.richardson_gap,
+            )
+            for e in verdict.evidence
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "model, window",
+    # horizons pi + 0.05 + 1e-6 and 4.2505: the fine grid's last step is short,
+    # and the coarse grid's last interval is two steps and one step long
+    [(sr.RoundSphere(4), None), (sr.Scaled(sr.ComplexProjective(2), 1.3), 4.2005)],
+    ids=["round4", "cp2-scaled"],
+)
+def test_chunk_size_is_bitwise_invisible_with_richardson(model, window):
+    sampler = sr.GeodesicSampler(5, 20240809)
+
+    def run(chunk):
+        return sr.check_positive_spherical_rank(
+            model, sampler, event_window=window, richardson=True, chunk=chunk
+        )
+
+    small = run(3)
+    assert _verdict_digest(small) == _verdict_digest(run(rank_mod.DEFAULT_CHUNK))
+    assert all(len(e.events) >= 1 for e in small.evidence)
