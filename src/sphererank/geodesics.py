@@ -27,8 +27,8 @@ UNIT_SPEED_TOL = 1e-8
 
 def time_grid(horizon, step):
     """Sample times: multiples of ``step`` plus the horizon endpoint."""
-    if step <= 0 or horizon <= 0:
-        raise ParameterError("step and horizon must be positive")
+    if not (0 < step < np.inf and 0 < horizon < np.inf):  # NaN fails too
+        raise ParameterError("step and horizon must be positive and finite")
     if step > horizon:
         raise ParameterError("step must not exceed the horizon")
     n = int(np.floor(horizon / step + 1e-12))

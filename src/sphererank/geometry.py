@@ -199,11 +199,27 @@ class _AmbientSphere(ManifoldModel):
     CP^n; tangents are ambient vectors.
     """
 
+    @property
+    def tangent_dim(self):
+        return self.point_dim
+
     def state_rhs(self, x, v):
         return v, -_dot(v, v)[..., None] * x
 
     def transport_rhs(self, w, x, v):
         return -_dot(w, v)[..., None] * x
+
+    def tangent_basis(self, p):
+        eye = np.eye(self.point_dim)
+        basis = np.broadcast_to(eye, p.shape[:-1] + eye.shape)
+        return self.project_tangent(p[..., None, :], basis)
+
+    def validate_point(self, p):
+        name = type(self).__name__
+        if p.shape[-1] != self.point_dim:
+            raise DomainError(f"wrong ambient dimension for {name} point")
+        if abs(np.linalg.norm(p) - 1.0) > POINT_NORM_TOL:
+            raise DomainError(f"{name} point must have unit ambient norm")
 
 
 @dataclass(frozen=True)
@@ -222,10 +238,6 @@ class RoundSphere(_AmbientSphere):
     def point_dim(self):
         return self.dim + 1
 
-    @property
-    def tangent_dim(self):
-        return self.dim + 1
-
     def inner(self, u, v):
         return _dot(u, v)
 
@@ -240,17 +252,6 @@ class RoundSphere(_AmbientSphere):
 
     def project_tangent(self, p, u):
         return u - _dot(u, p)[..., None] * p
-
-    def tangent_basis(self, p):
-        eye = np.eye(self.point_dim)
-        basis = np.broadcast_to(eye, p.shape[:-1] + eye.shape)
-        return self.project_tangent(p[..., None, :], basis)
-
-    def validate_point(self, p):
-        if p.shape[-1] != self.point_dim:
-            raise DomainError("wrong ambient dimension for RoundSphere point")
-        if abs(np.linalg.norm(p) - 1.0) > POINT_NORM_TOL:
-            raise DomainError("RoundSphere point must have unit ambient norm")
 
     def validate_tangent(self, p, u):
         if u.shape[-1] != self.tangent_dim:
@@ -384,10 +385,6 @@ class ComplexProjective(_AmbientSphere):
     def point_dim(self):
         return 2 * int(self.n) + 2
 
-    @property
-    def tangent_dim(self):
-        return self.point_dim
-
     def inner(self, u, v):
         return 4.0 * _dot(u, v)
 
@@ -423,17 +420,6 @@ class ComplexProjective(_AmbientSphere):
         phase = lead / np.abs(lead)
         zc = zc / phase
         return np.concatenate([zc.real, zc.imag], axis=-1)
-
-    def tangent_basis(self, p):
-        eye = np.eye(self.point_dim)
-        basis = np.broadcast_to(eye, p.shape[:-1] + eye.shape)
-        return self.project_tangent(p[..., None, :], basis)
-
-    def validate_point(self, p):
-        if p.shape[-1] != self.point_dim:
-            raise DomainError("wrong ambient dimension for ComplexProjective point")
-        if abs(np.linalg.norm(p) - 1.0) > POINT_NORM_TOL:
-            raise DomainError("ComplexProjective point must have unit ambient norm")
 
     def validate_tangent(self, p, u):
         if u.shape[-1] != self.tangent_dim:

@@ -6,8 +6,9 @@ along a unit-speed geodesic to the linear system ``y'' + K(t) y = 0`` where
 ``M(0) = 0`` and ``M'(0) = I`` encodes every Jacobi field vanishing at 0;
 conjugate times are the singular times of ``M`` and multiplicities are its
 rank defects.  The Maslov index of the Lagrangian frame (M, M') counts them
-exactly (``JacobiPropagator.morse_count``), and ``detect_events`` locates
-them by bisection on that count.
+exactly (``JacobiPropagator.morse_count``); ``detect_events`` bisects on that
+count down to one grid cell, where the conjugate times are the real roots of
+det M for the cubic Hermite interpolant of (M, M').
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg
 
 from .errors import AmbiguousEndpointError, DomainError, ParameterError
 from .geodesics import ParallelField, Trajectory, _hermite, _locate, _rk4
@@ -213,24 +215,14 @@ class JacobiPropagator:
     def _theta_nodes(self):
         """Nodes and unwrapped Theta for ``morse_count``.
 
-        |dTheta/dt| is at most 2k max(1, |K|), so each interval on which that
-        bound times the step reaches pi/2 (stiff curvature on a coarse grid)
-        gets evenly spaced Hermite sub-nodes.
+        |dTheta/dt| is at most 2k max(1, |K|), so Theta is read on evenly
+        spaced nodes whose spacing times that bound stays below pi/2.
         """
-        times, M, Mp = self.times, self.M, self.Mp
-        rate = 2.0 * self.order * np.maximum(1.0, np.linalg.norm(self.profile.K, axis=(-2, -1)))
-        parts = np.ceil(np.diff(times) * np.maximum(rate[:-1], rate[1:]) / (0.5 * math.pi))
-        coarse = np.nonzero(parts > 1)[0]
-        if coarse.size:
-            extra = np.concatenate(
-                [np.linspace(times[i], times[i + 1], int(parts[i]) + 1)[1:-1] for i in coarse]
-            )
-            pairs = [self.evaluate(s) for s in extra]
-            order = np.argsort(np.concatenate([times, extra]))
-            times = np.concatenate([times, extra])[order]
-            M = np.concatenate([M, [m for m, _ in pairs]])[order]
-            Mp = np.concatenate([Mp, [mp for _, mp in pairs]])[order]
-        return times, np.unwrap(2.0 * np.angle(np.linalg.det(Mp + 1j * M)))
+        t0, t1 = self.times[0], self.times[-1]
+        rate = 2.0 * self.order * max(1.0, np.linalg.norm(self.profile.K, axis=(-2, -1)).max())
+        nodes = np.linspace(t0, t1, int((t1 - t0) * rate / (0.5 * math.pi)) + 2)
+        Z = np.array([mp + 1j * m for m, mp in map(self.evaluate, nodes)])
+        return nodes, np.unwrap(2.0 * np.angle(np.linalg.det(Z)))
 
     def lagrangian_defect(self):
         """Max deviation of M^T M' - M'^T M from zero over all samples."""
@@ -263,17 +255,46 @@ class ConjugateEvent:
             raise ParameterError("conjugate events need time > 0 and multiplicity >= 1")
 
 
-def detect_events(propagator, window, rank_tol=DEFAULT_RANK_TOL):
-    """Conjugate events in ``(t0, t1]`` by bisection on the Morse count.
+def _singular_times(propagator, a, b):
+    """Zeros of det M in ``(a, b]`` for the interpolant of ``evaluate``, sorted.
 
-    The count is nondecreasing, so equal counts at the two ends of an
+    On the grid cell [t_i, t_i + h] the cubic Hermite interpolant is
+    M(t_i + s h) = C0 + C1 s + C2 s^2 + C3 s^3, and det M(t_i + s h) = 0
+    exactly at the eigenvalues s of the companion pencil
+    [[0, I, 0], [0, 0, I], [-C0, -C1, -C2]] - s diag(I, I, C3); an m-fold
+    zero of M is an m-fold eigenvalue.  The finite ones that are real to
+    ``EVENT_TIME_RESOLUTION`` in time count.
+    """
+    times, k = propagator.times, propagator.order
+    roots = []
+    for i in range(max(np.searchsorted(times, a, side="right") - 1, 0), np.searchsorted(times, b)):
+        h = times[i + 1] - times[i]
+        M0, M1 = propagator.M[i], propagator.M[i + 1]
+        D0, D1 = h * propagator.Mp[i], h * propagator.Mp[i + 1]
+        A, B = np.eye(3 * k, k=k), np.eye(3 * k)
+        A[2 * k :] = -np.hstack([M0, D0, 3.0 * (M1 - M0) - 2.0 * D0 - D1])
+        B[2 * k :, 2 * k :] = 2.0 * (M0 - M1) + D0 + D1
+        s = linalg.eigvals(A, B)
+        s = s[np.isfinite(s) & (h * np.abs(s.imag) <= EVENT_TIME_RESOLUTION)]
+        t = times[i] + h * s.real
+        roots.extend(t[(t > a) & (t <= b)])
+    return np.sort(roots)
+
+
+def detect_events(propagator, window, rank_tol=DEFAULT_RANK_TOL):
+    """Conjugate events in ``(t0, t1]``: the zeros of det M, found exactly.
+
+    The Morse count is nondecreasing, so equal counts at the two ends of an
     interval prove it holds no conjugate time.  The window is halved while
-    the end counts differ, down to ``EVENT_TIME_RESOLUTION``; each final
-    bracket is one event at its midpoint (brackets sharing an end are one
-    bracket: their crossings are inseparable at that width), and the count
-    jump across it is the multiplicity.  ``rank_tol`` is the confirming
-    test: an event is kept only if M has a singular value below
-    ``rank_tol`` times the operator norm of M' at the event time.
+    the end counts differ and a grid node lies strictly inside; brackets
+    sharing an end are one bracket.  In each bracket the conjugate times are
+    the real roots of det M on the cubic Hermite interpolant
+    (``_singular_times``); roots closer than ``EVENT_TIME_RESOLUTION`` are one
+    event at their mean, with their number as the multiplicity.  The roots of
+    a bracket must number its count jump, or ``DomainError`` is raised.
+    ``rank_tol`` is the confirming test: an event is kept only if M has a
+    singular value below ``rank_tol`` times the operator norm of M' at the
+    event time.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not t1 > t0:
@@ -290,7 +311,7 @@ def detect_events(propagator, window, rank_tol=DEFAULT_RANK_TOL):
         a, ca, b, cb = stack.pop()
         if ca == cb:
             continue
-        if b - a > EVENT_TIME_RESOLUTION:
+        if np.searchsorted(times, a, side="right") < np.searchsorted(times, b, side="left"):
             m = 0.5 * (a + b)
             cm = count(m)
             stack += [(m, cm, b, cb), (a, ca, m, cm)]
@@ -300,11 +321,15 @@ def detect_events(propagator, window, rank_tol=DEFAULT_RANK_TOL):
             brackets.append((a, b, cb - ca))
     events = []
     for a, b, jump in brackets:
-        t_star = 0.5 * (a + b)
-        M, Mp = propagator.evaluate(t_star)
-        sigma = np.linalg.svd(M, compute_uv=False)[-1]
-        if jump >= 1 and sigma < rank_tol * max(np.linalg.norm(Mp, 2), 1e-300):
-            events.append(ConjugateEvent(t_star, jump))
+        roots = _singular_times(propagator, a, b)
+        if len(roots) != jump:
+            raise DomainError(f"{len(roots)} zeros of det M in ({a!r}, {b!r}], count jump {jump}")
+        for group in np.split(roots, np.flatnonzero(np.diff(roots) >= EVENT_TIME_RESOLUTION) + 1):
+            t_star = float(np.mean(group))
+            M, Mp = propagator.evaluate(t_star)
+            sigma = np.linalg.svd(M, compute_uv=False)[-1]
+            if sigma < rank_tol * max(np.linalg.norm(Mp, 2), 1e-300):
+                events.append(ConjugateEvent(t_star, len(group)))
     return events
 
 

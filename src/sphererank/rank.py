@@ -14,7 +14,7 @@ memory is bounded by one chunk.  Verdicts are deterministic functions of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import linalg
@@ -259,7 +259,6 @@ def check_positive_spherical_rank(
     step=DEFAULT_STEP,
     event_window=None,
     richardson=False,
-    certificate_tol=DEFAULT_CERT_TOL,
     rank_tol=1e-7,
     chunk=DEFAULT_CHUNK,
 ):
@@ -295,7 +294,7 @@ def check_positive_spherical_rank(
         for i in range(b - a):
             profile, prop = _views(model, bundle, sols, i)
             events = detect_events(prop, (0.0, window_end), rank_tol=rank_tol)
-            cert = spherical_witness(profile.K, certificate_tol) if with_cert else None
+            cert = spherical_witness(profile.K, DEFAULT_CERT_TOL) if with_cert else None
             out.append((events, cert))
         return out
 
@@ -434,7 +433,6 @@ def check_weak_spherical_rank(
     tol=1e-5,
     *,
     step=DEFAULT_STEP,
-    horizon=math.pi,
     method="auto",
     chunk=DEFAULT_CHUNK,
 ):
@@ -466,7 +464,7 @@ def check_weak_spherical_rank(
     want_second = uses_search or method == "auto"
 
     def chunk_evidence(a, b):
-        bundle = _bundle(model, P[a:b], W[a:b], horizon, step)
+        bundle = _bundle(model, P[a:b], W[a:b], math.pi, step)
         sols = _propagate_bundle(bundle, with_second=want_second)
         times, K, E, V = bundle["times"], bundle["K"], bundle["E"], bundle["V"]
         out = []
@@ -541,20 +539,7 @@ class BergerReportRow:
     note: str
 
     def as_dict(self):
-        return {
-            "eta": self.eta,
-            "sec_min_exact": self.sec_min_exact,
-            "sec_max_exact": self.sec_max_exact,
-            "sec_min_scanned": self.sec_min_scanned,
-            "sec_max_scanned": self.sec_max_scanned,
-            "fiber_time": self.fiber_time,
-            "positively_curved": self.positively_curved,
-            "positive_spherical_rank": self.positive_spherical_rank,
-            "weak_upper": self.weak_upper,
-            "weak_lower": self.weak_lower,
-            "lower_normalizable": self.lower_normalizable,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def _golden_minimize(f, a, b, tol):
@@ -597,7 +582,7 @@ def measure_fiber_time(eta, step=DEFAULT_STEP):
     return float(_golden_minimize(dist, a, b, 1e-9))
 
 
-def berger_report(etas, sampler, *, step=DEFAULT_STEP, scan_samples=10000, scan_seed=0):
+def berger_report(etas, sampler, *, step=DEFAULT_STEP, scan_samples=10000):
     """Survey rows for a list of Berger parameters (curvature range, fiber
     closure time, and the three rank verdicts)."""
     etas = list(etas)
@@ -609,7 +594,7 @@ def berger_report(etas, sampler, *, step=DEFAULT_STEP, scan_samples=10000, scan_
             raise ParameterError("eta must be positive")
         model = BergerSphere(eta)
         lo, hi = curvature_bounds(model)
-        scan = curvature_scan(model, scan_samples, scan_seed)
+        scan = curvature_scan(model, scan_samples, 0)
         fiber_time = measure_fiber_time(eta, step=step)
         upper = normalize_to_bound(model, "upper")
         positive = check_positive_spherical_rank(upper, sampler, step=step)

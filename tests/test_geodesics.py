@@ -35,6 +35,12 @@ def test_time_grid():
         sr.time_grid(-1.0, 0.1)
     with pytest.raises(sr.ParameterError):
         sr.time_grid(0.5, 0.6)
+    for horizon, step in ((math.nan, 1e-3), (math.inf, 1e-3), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(sr.ParameterError):
+            sr.time_grid(horizon, step)
+    m = sr.RoundSphere(2)
+    with pytest.raises(sr.ParameterError):
+        sr.geodesic_flow(m, _state(m, [0, 0, 1], [1, 0, 0]), 1.0, math.nan)
 
 
 def test_round_sphere_antipode():

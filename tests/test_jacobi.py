@@ -154,6 +154,66 @@ def test_crossings_within_the_time_resolution_are_one_event():
         assert events[0].time == pytest.approx(c, abs=1e-8)
 
 
+def test_event_times_match_closed_forms():
+    # the zeros of det M on the Hermite interpolant, not a bisection midpoint
+    cases = [
+        (sr.RoundSphere(n), np.eye(n + 1)[0], np.eye(n + 1)[1], 7.0, [math.pi, 2 * math.pi])
+        for n in (2, 4, 6)
+    ]
+    cases.append((
+        sr.ComplexProjective(2),
+        [1, 0, 0, 0, 0, 0],
+        0.5 * np.array([0, 1, 0, 0, 0, 0.0]),
+        2 * math.pi + 0.2,
+        [math.pi, 2 * math.pi],
+    ))
+    for eta in (0.8, 1.2):
+        expected = cf.berger_horizontal_conjugate_times(eta, 5.0)
+        cases.append((sr.BergerSphere(eta), [1, 0, 0, 0], [0, 1, 0], 5.0, expected))
+    for model, p, v, horizon, expected in cases:
+        _, _, prop = _pipeline(model, p, v, horizon)
+        events = sr.conjugate_points(prop, (0.0, horizon))
+        assert len(events) == len(expected)
+        for e, t in zip(events, expected):
+            assert e.time == pytest.approx(t, abs=1e-10)
+
+
+def test_two_crossings_in_one_grid_cell():
+    # K = diag(1, 1 + eps) puts simple zeros of M at pi / sqrt(1 + eps) and at
+    # pi, 3e-4 apart: both inside the grid cell of step 1e-3 that holds pi
+    traj, profile, _ = _pipeline(sr.RoundSphere(3), [1, 0, 0, 0], [0, 1, 0, 0], 4.0)
+    eps = 1.9e-4
+    K = np.broadcast_to(np.diag([1.0, 1.0 + eps]), profile.K.shape).copy()
+    prop = sr.jacobi_propagate(sr.CurvatureProfile(traj, profile.frame, K, 0.0))
+    cell = np.searchsorted(prop.times, math.pi)
+    assert prop.times[cell - 1] < math.pi / math.sqrt(1.0 + eps) < math.pi < prop.times[cell]
+    events = sr.conjugate_points(prop, (0.0, 4.0))
+    assert [e.multiplicity for e in events] == [1, 1]
+    for e, t in zip(events, (math.pi / math.sqrt(1.0 + eps), math.pi)):
+        assert e.time == pytest.approx(t, abs=1e-10)
+
+
+def test_richardson_gap_measures_the_discretization():
+    # the step and half-step event times differ by the discretization error:
+    # small, but not zero
+    verdict = sr.check_positive_spherical_rank(
+        sr.RoundSphere(4), sr.GeodesicSampler(6, 11), richardson=True
+    )
+    assert verdict.holds
+    for e in verdict.evidence:
+        assert 0.0 < e.richardson_gap <= 1e-7
+
+
+def test_zeros_that_miss_the_count_jump_raise():
+    # a count jump without the zeros of det M to match is an error: no event
+    # is dropped or invented
+    _, _, prop = _pipeline(sr.RoundSphere(3), [1, 0, 0, 0], [0, 1, 0, 0], 4.0)
+    count = prop.morse_count
+    prop.morse_count = lambda t: count(t) + int(t > 2.0)
+    with pytest.raises(sr.DomainError):
+        sr.conjugate_points(prop, (0.0, 4.0))
+
+
 def test_berger_horizontal_conjugates_match_reduction_oracle():
     for eta in (0.8, 1.2):
         m = sr.BergerSphere(eta)
