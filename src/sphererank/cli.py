@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import math
+import re
 import sys
 import time
 
@@ -35,6 +37,7 @@ from .geometry import (
 )
 from .jacobi import curvature_profile, detect_events, jacobi_propagate
 from .rank import (
+    BergerReportRow,
     GeodesicSampler,
     berger_report,
     check_positive_spherical_rank,
@@ -104,8 +107,8 @@ def validate_manifest(manifest):
         if not (float(integ[key]) > 0):
             raise ParameterError(f"integrator {key} must be positive")
     for key, val in manifest["tolerances"].items():
-        if not (float(val) > 0):
-            raise ParameterError(f"tolerance {key} must be positive")
+        if not 0 < float(val) < math.inf:  # NaN fails too
+            raise ParameterError(f"tolerance {key} must be finite and positive")
     if manifest["eta_list"] is not None:
         if not isinstance(manifest["eta_list"], list) or not all(
             isinstance(x, (int, float)) for x in manifest["eta_list"]
@@ -165,7 +168,8 @@ def resolve_initial(model, manifest, direction):
     """Initial geodesic state from a direction spec.
 
     ``fiber`` / ``horizontal`` select the special Berger directions at the
-    identity; ``sample-<k>`` takes the k-th draw of the manifest sampler.
+    identity; ``sample-<k>`` takes the k-th draw of the manifest sampler and
+    ``sample`` the first.
     """
     core, _ = unwrap(model)
     if direction in ("fiber", "horizontal"):
@@ -176,9 +180,9 @@ def resolve_initial(model, manifest, direction):
         w = w / math.sqrt(float(model.inner(w, w)))
         p = Point(q0)
         return GeodesicState(p, Tangent(p, w))
-    if direction.startswith("sample"):
-        _, _, num = direction.partition("-")
-        k = int(num) if num else 0
+    sample = re.fullmatch(r"sample(?:-(\d+))?", direction)
+    if sample:
+        k = int(sample[1] or 0)
         sampler = _sampler(manifest)
         if not 0 <= k < sampler.count:
             raise ParameterError("sample index must lie in [0, sampler count)")
@@ -409,24 +413,11 @@ def cmd_berger_report(manifest):
     sampler = _sampler(manifest)
     step = float(manifest["integrator"]["step"])
     rows = berger_report(etas, sampler, step=step, scan_samples=sampler.count)
-    payload = {"rows": [r.as_dict() for r in rows]}
-    header = [
-        "eta",
-        "sec_min_exact",
-        "sec_max_exact",
-        "sec_min_scanned",
-        "sec_max_scanned",
-        "fiber_time",
-        "positively_curved",
-        "positive_spherical_rank",
-        "weak_upper",
-        "weak_lower",
-        "lower_normalizable",
-        "note",
-    ]
-    table = [[r.as_dict()[k] for k in header] for r in rows]
+    dicts = [r.as_dict() for r in rows]
+    header = [f.name for f in dataclasses.fields(BergerReportRow)]
+    table = [[d[k] for k in header] for d in dicts]
     summary = f"{len(rows)} Berger rows"
-    return payload, (header, table), summary, 0
+    return {"rows": dicts}, (header, table), summary, 0
 
 
 # ---------------------------------------------------------------------------

@@ -94,11 +94,12 @@ def _hermite(s, h, Y, D):
 
 def _locate(times, t, domain):
     """(i, s, h): the grid interval [times[i], times[i + 1]] of length h holding
-    ``t``, which lies the fraction s of the way through it."""
-    if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
+    ``t``, which lies the fraction s of the way through it.  ``t`` may be an
+    array of times; i, s and h then have its shape."""
+    t = np.asarray(t, dtype=float)
+    if (t < times[0] - 1e-12).any() or (t > times[-1] + 1e-12).any():
         raise ParameterError(f"time outside the {domain} domain")
-    i = int(np.searchsorted(times, t, side="right") - 1)
-    i = min(max(i, 0), len(times) - 2)
+    i = np.minimum(np.maximum(np.searchsorted(times, t, side="right") - 1, 0), len(times) - 2)
     h = times[i + 1] - times[i]
     return i, (t - times[i]) / h, h
 

@@ -25,7 +25,7 @@ from .geometry import pair_inner
 
 EVENT_TIME_RESOLUTION = 1e-8
 DEFAULT_RANK_TOL = 1e-7
-PROFILE_BLOCK = 256  # samples per block of the curvature profile
+PROFILE_BLOCK = 64  # per block: samples of the curvature profile, components of its midpoints
 
 
 # ---------------------------------------------------------------------------
@@ -99,45 +99,31 @@ def curvature_profile(trajectory, frame):
 # midpoint interpolation on the sample grid
 
 
-def _lagrange_value(ts, ys, t):
-    out = np.zeros_like(ys[0])
-    for j in range(len(ts)):
-        w = 1.0
-        for m in range(len(ts)):
-            if m != j:
-                w *= (t - ts[m]) / (ts[j] - ts[m])
-        out = out + w * ys[j]
-    return out
-
-
 def interval_midpoints(times, Y):
-    """Values of a sampled quantity at interval midpoints, to 4th order.
+    """Values of a sampled quantity at interval midpoints.
 
-    Interior intervals of a uniform grid use the fast cubic stencil; edges
-    and ragged tail intervals fall back to 4-point Lagrange interpolation on
-    the nearest nodes.
+    The cubic Hermite interpolant ``_hermite`` at s = 1/2 with the node
+    slopes of ``np.gradient`` (second order, one-sided at the two ends; first
+    order when there are only two samples).  On a uniform stretch of the grid
+    this is the (-1, 9, 9, -1)/16 stencil, 4th order; the edges and a ragged
+    last interval take the same rule and are 3rd order locally, which keeps
+    RK4 4th order globally.  The components are taken ``PROFILE_BLOCK`` at a
+    time, so the temporaries do not grow with the bundle; every operation is
+    per component, so the blocks change no bit.  (Blocks along the time axis
+    would: ``np.gradient`` switches formula on a window whose spacings happen
+    to be all equal.)
     """
     T = len(times)
     if T < 2:
         raise ParameterError("need at least two samples")
-    mids = np.empty((T - 1,) + Y.shape[1:])
-    if T == 2:
-        mids[0] = 0.5 * (Y[0] + Y[1])
-        return mids
-    dt = np.diff(times)
-    base = np.median(dt)
-    uniform = np.abs(dt - base) < 1e-9 * max(1.0, base)
-    fast = np.zeros(T - 1, dtype=bool)
-    fast[1 : T - 2] = uniform[1 : T - 2] & uniform[0 : T - 3] & uniform[2 : T - 1]
-    if np.any(fast):
-        idx = np.nonzero(fast)[0]
-        mids[idx] = (-Y[idx - 1] + 9.0 * Y[idx] + 9.0 * Y[idx + 1] - Y[idx + 2]) / 16.0
-    for i in np.nonzero(~fast)[0]:
-        lo = min(max(0, i - 1), T - 4) if T >= 4 else 0
-        hi = min(lo + 4, T)
-        tm = 0.5 * (times[i] + times[i + 1])
-        mids[i] = _lagrange_value(times[lo:hi], Y[lo:hi], tm)
-    return mids
+    Y2 = Y.reshape(T, -1)
+    mids = np.empty((T - 1, Y2.shape[1]))
+    h = np.diff(times)[:, None]
+    for a in range(0, Y2.shape[1], PROFILE_BLOCK):
+        y = Y2[:, a : a + PROFILE_BLOCK]
+        D = np.gradient(y, times, axis=0, edge_order=2 if T > 2 else 1)
+        mids[:, a : a + PROFILE_BLOCK] = _hermite(0.5, h, y, D)
+    return mids.reshape((T - 1,) + Y.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +168,17 @@ class JacobiPropagator:
         return self._sigma
 
     def evaluate(self, t):
-        """Cubic Hermite interpolation of (M, M') between samples."""
-        i, s, h = _locate(self.times, float(t), "propagator")
-        M, Mp = self.M[i : i + 2], self.Mp[i : i + 2]
-        Mpp = -self.profile.K[i : i + 2] @ M  # the Jacobi equation
+        """Cubic Hermite interpolation of (M, M') between samples.
+
+        ``t`` is a time or an array of times; the result has the shape of
+        ``t`` followed by (k, k).
+        """
+        i, s, h = _locate(self.times, t, "propagator")
+        ends = np.array([i, i + 1])
+        M, Mp = self.M[ends], self.Mp[ends]
+        Mpp = -self.profile.K[ends] @ M  # the Jacobi equation
+        if np.ndim(t):  # a scalar s broadcasts as it is, at a third of the cost of a (1, 1) s
+            s, h = s[..., None, None], h[..., None, None]
         return _hermite(s, h, M, Mp)[0], _hermite(s, h, Mp, Mpp)[0]
 
     def morse_count(self, t):
@@ -221,8 +214,8 @@ class JacobiPropagator:
         t0, t1 = self.times[0], self.times[-1]
         rate = 2.0 * self.order * max(1.0, np.linalg.norm(self.profile.K, axis=(-2, -1)).max())
         nodes = np.linspace(t0, t1, int((t1 - t0) * rate / (0.5 * math.pi)) + 2)
-        Z = np.array([mp + 1j * m for m, mp in map(self.evaluate, nodes)])
-        return nodes, np.unwrap(2.0 * np.angle(np.linalg.det(Z)))
+        M, Mp = self.evaluate(nodes)
+        return nodes, np.unwrap(2.0 * np.angle(np.linalg.det(Mp + 1j * M)))
 
     def lagrangian_defect(self):
         """Max deviation of M^T M' - M'^T M from zero over all samples."""

@@ -28,7 +28,7 @@ from .geodesics import (
     flow_arrays,
     frame_arrays,
     geodesic_flow,
-    hermite_midpoints,
+    hermite_midpoints,  # noqa: F401 - perfbench/tracer.py wraps rank.hermite_midpoints
     time_grid,
 )
 from .geometry import (
@@ -184,27 +184,22 @@ def _by_chunk(n, size, analyze):
 def _bundle(model, P, W, horizon, step, frame=True):
     """Integrate a geodesic bundle at ``step`` and analyze it on a 2x-coarser grid.
 
-    Trajectories are integrated at the requested step for accuracy; frames,
-    curvature profiles, and Jacobi propagation run on every other sample
-    (all schemes stay 4th order, so the coarser grid changes results at the
-    1e-11 level while halving the work).  The samples in between are the
-    interval midpoints that frame transport reads, except on the last
-    interval, which may be one step or end short of a whole step: its
-    midpoint comes from Hermite interpolation.  With ``frame=False`` the
-    states and the frame are dropped once K exists (the positive check reads
-    only K).
+    The analysis grid is ``time_grid(horizon, 2 * step)`` (one interval when
+    the horizon is shorter); frames, curvature profiles, and Jacobi
+    propagation run on it (all schemes stay 4th order, so the coarser grid
+    changes results at the 1e-11 level while halving the work).  The flow is
+    integrated on that grid together with the exact midpoint of every
+    interval, the ragged last one included, so the midpoint states that
+    frame transport reads are flow samples.  With ``frame=False`` the states
+    and the frame are dropped once K exists (the positive check reads only K).
     """
-    fine = time_grid(horizon, step)
+    times = time_grid(horizon, min(2 * step, horizon))
+    fine = np.empty(2 * len(times) - 1)
+    fine[::2], fine[1::2] = times, 0.5 * (times[:-1] + times[1:])
     X, V = flow_arrays(model, P, W, fine)
-    keep = np.arange(0, len(fine), 2)
-    if keep[-1] != len(fine) - 1:
-        keep = np.append(keep, len(fine) - 1)
-    mid = keep[:-1] + 1
-    times = fine[keep]
-    Xm, Vm = X[mid], V[mid]
-    X, V = X[keep], V[keep]
-    xm, vm = hermite_midpoints(model, times[-2:], X[-2:], V[-2:])
-    Xm[-1], Vm[-1] = xm[0], vm[0]
+    # copies, so the fine flow is freed before transport
+    Xm, Vm = X[1::2].copy(), V[1::2].copy()
+    X, V = X[::2].copy(), V[::2].copy()
     E = frame_arrays(model, times, X, V, Xm, Vm)
     del Xm, Vm
     K, defect = profile_arrays(model, V, E)
@@ -241,7 +236,6 @@ def _views(model, bundle, sols, b):
         traj = Trajectory(model, times, bundle["X"][:, b], bundle["V"][:, b], bundle["step"])
         fields = [ParallelField(traj, bundle["E"][:, b, a]) for a in range(bundle["E"].shape[2])]
     profile = CurvatureProfile(traj, fields, bundle["K"][:, b], float(bundle["defect"][b]))
-    profile._mid = bundle["Kmid"][:, b]
     prop = JacobiPropagator(profile, times, sols["M"][:, b], sols["Mp"][:, b])
     return profile, prop
 

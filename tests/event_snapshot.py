@@ -4,7 +4,7 @@ Run once per commit and compare the two files:
 
     PYTHONPATH=src python tests/event_snapshot.py before.json
     PYTHONPATH=src python tests/event_snapshot.py after.json
-    python tests/event_snapshot.py --compare before.json after.json
+    PYTHONPATH=src python tests/event_snapshot.py --compare before.json after.json
 
 The set is the positive-rank check with Richardson on S^2..S^6 (window
 3.5), on upper-normalized CP^2, Berger(1.2) and Berger(0.6), 200 geodesics
@@ -14,7 +14,10 @@ as ``float.hex``.  The comparison prints, per case, whether event counts,
 multiplicities and verdict fields are equal, the largest event-time
 difference, the range of Richardson gaps on each side, and any change of
 ``worst_case``; it exits non-zero when counts, multiplicities or verdict
-fields differ.
+fields differ, when an event time moved by more than
+``EVENT_TIME_RESOLUTION``, or when an "after" Richardson gap on a geodesic
+with an event lies outside (0, ``RICHARDSON_AGREEMENT``]: a gap of exactly
+zero means the self-check cannot fail.
 
 pytest does not collect this file.
 """
@@ -84,6 +87,9 @@ def snapshot(path):
 
 
 def compare(before_path, after_path):
+    from sphererank.jacobi import EVENT_TIME_RESOLUTION
+    from sphererank.rank import RICHARDSON_AGREEMENT
+
     with open(before_path) as fh:
         before = json.load(fh)
     with open(after_path) as fh:
@@ -110,6 +116,10 @@ def compare(before_path, after_path):
             if "richardson_gap" in g:
                 gaps["before"].append(g["richardson_gap"])
                 gaps["after"].append(h["richardson_gap"])
+                if h["events"] and not 0 < h["richardson_gap"] <= RICHARDSON_AGREEMENT:
+                    lines.append(f"geodesic {i}: Richardson gap {h['richardson_gap']!r}")
+        if dt > EVENT_TIME_RESOLUTION:
+            lines.append(f"event times moved by up to {dt:.3g}")
         same = same and not lines
         print(f"{name}: {events} events, max |dt| {dt:.3g}")
         if old.get("worst_case") != new.get("worst_case"):

@@ -217,11 +217,22 @@ def test_invalid_inputs_exit_2(capsys):
     code = cli.main(["conjugate", "--model", "round", "--dim", "3", "--direction", "fiber"])
     capsys.readouterr()
     assert code == 2
+    # a tolerance of inf would pass every check it guards, or fail far from the manifest
+    weak = ["rank", "--property", "weak-upper", "--model", "berger", "--eta", "0.5"]
+    weak += ["--normalization", "upper", "--count", "4", "--seed", "3"]
+    for flag in ("--weak-tol", "--curv-tol", "--time-tol", "--rank-tol"):
+        for value in ("inf", "nan", "-1e-6"):
+            code = cli.main(weak + [f"{flag}={value}"])
+            err = capsys.readouterr().err
+            assert code == 2, (flag, value)
+            assert flag[2:].replace("-", "_") in err, (flag, value)
 
 
 def test_sample_index_outside_the_sampler_exits_2(capsys):
-    # "sample--1" parses as k = -1, which must not wrap round to the last draw
-    for direction, expected in (("sample--1", 2), ("sample-4", 2), ("sample-3", 0)):
+    # "sample--1" must not wrap round to the last draw, nor "sampleXYZ" read as "sample"
+    cases = [("sample--1", 2), ("sample-4", 2), ("sample-3", 0)]
+    cases += [("samples", 2), ("sampleXYZ", 2), ("sample", 0)]
+    for direction, expected in cases:
         argv = ["geodesic", "--model", "round", "--count", "4", "--direction", direction]
         code = cli.main(argv + ["--horizon", "1.0"])
         capsys.readouterr()

@@ -5,6 +5,7 @@ import pytest
 
 import closed_forms as cf
 import sphererank as sr
+from sphererank import jacobi as jacobi_mod
 from sphererank import rank as rank_mod
 
 
@@ -72,6 +73,75 @@ def test_profile_frame_mismatch_error():
     frame2 = sr.normal_frame(t2)
     with pytest.raises(sr.DomainError):
         sr.curvature_profile(t1, frame2)
+
+
+# ---------------------------------------------------------------------------
+# midpoints
+
+
+def _smooth(t):
+    """A smooth (T, 2, 2) matrix function of the sample times."""
+    t = np.asarray(t)[:, None]
+    top = np.stack([np.sin(t), np.cos(2 * t)], -1)
+    return np.concatenate([top, np.stack([np.exp(t / 2), t + np.sin(t) ** 2], -1)], axis=-2)
+
+
+def test_interval_midpoints_are_the_four_point_stencil_on_a_uniform_grid():
+    times = sr.time_grid(1.0, 0.01)
+    Y = _smooth(times)
+    mids = jacobi_mod.interval_midpoints(times, Y)
+    stencil = (-Y[:-3] + 9.0 * Y[1:-2] + 9.0 * Y[2:-1] - Y[3:]) / 16.0
+    assert np.max(np.abs(mids[1:-1] - stencil)) <= 1e-15 * np.max(np.abs(Y))
+
+
+def test_interval_midpoint_edges_are_third_order_on_a_ragged_grid():
+    # the node slopes at the two ends are one-sided and second order, so the
+    # edge midpoints are third order: the error falls by 8 per halving in the
+    # limit (7.996 at h = 0.01 on the first interval); a second-order edge
+    # rule would give 4
+    def edge_errors(h):
+        times = sr.time_grid(1.0 + 0.3 * h, h)  # the last interval is 0.3 h
+        mids = jacobi_mod.interval_midpoints(times, _smooth(times))
+        err = np.max(np.abs(mids - _smooth(0.5 * (times[1:] + times[:-1]))), axis=(1, 2))
+        return np.array([err[0], err[-2], err[-1]])
+
+    assert np.all(edge_errors(0.02) > 7.5 * edge_errors(0.01))
+
+
+def test_interval_midpoints_are_the_same_bits_in_blocks(monkeypatch):
+    times = sr.time_grid(0.5 + 0.3e-2, 1e-2)
+    Y = np.random.default_rng(3).normal(size=(len(times), 2, 3, 3))
+    whole = jacobi_mod.interval_midpoints(times, Y)
+    monkeypatch.setattr(jacobi_mod, "PROFILE_BLOCK", 3)
+    assert np.array_equal(jacobi_mod.interval_midpoints(times, Y), whole)
+
+
+# step 0.01: 0, 0.3 and 1.7 steps past a node of the 0.02 grid, and 1.5 steps
+@pytest.mark.parametrize("horizon", [0.4, 0.403, 0.417, 0.015])
+def test_bundle_analyzes_on_the_2x_grid_with_a_flow_midpoint_everywhere(horizon):
+    step = 0.01
+    m = sr.RoundSphere(2)
+    P, W = sr.GeodesicSampler(2, 5).states(m)
+    bundle = rank_mod._bundle(m, P, W, horizon, step)
+    times = sr.time_grid(horizon, min(2 * step, horizon))
+    assert np.array_equal(bundle["times"], times)
+    assert bundle["Kmid"].shape == (len(times) - 1,) + bundle["K"].shape[1:]
+    sols = rank_mod._propagate_bundle(bundle)
+    for b in range(len(P)):
+        profile, _ = rank_mod._views(m, bundle, sols, b)
+        assert np.array_equal(profile.midpoints(), bundle["Kmid"][:, b])
+
+
+def test_evaluate_takes_an_array_of_times():
+    _, _, prop = _pipeline(sr.RoundSphere(3), [1, 0, 0, 0], [0, 1, 0, 0], 2.0)
+    ts = np.array([0.0, 0.31234, 1.0, 2.0])
+    M, Mp = prop.evaluate(ts)
+    assert M.shape == Mp.shape == (4, 2, 2)
+    for t, m, mp in zip(ts, M, Mp):
+        one = prop.evaluate(t)
+        assert one[0].shape == (2, 2)
+        assert np.array_equal(one[0], m) and np.array_equal(one[1], mp)
+    assert np.max(np.abs(M - np.sin(ts)[:, None, None] * np.eye(2))) < 1e-7
 
 
 # ---------------------------------------------------------------------------
