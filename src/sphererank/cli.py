@@ -17,6 +17,7 @@ import math
 import re
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -60,11 +61,47 @@ DEFAULT_MANIFEST = {
     "eta_list": None,
 }
 
-_MODEL_KEYS = {
-    "round": {"kind", "dim"},
-    "berger": {"kind", "eta"},
-    "cpn": {"kind", "n"},
-    "scaled": {"kind", "base", "lam"},
+# A manifest model section is {"kind": <kind>} and exactly the fields of the
+# kind's class.
+_MODEL_KINDS = {
+    "round": RoundSphere,
+    "berger": BergerSphere,
+    "cpn": ComplexProjective,
+    "scaled": Scaled,
+}
+
+
+class _Flag(NamedTuple):
+    """A flag of every command: the manifest key it overrides, argparse options.
+
+    A model-parameter flag sets a field of one model ``kind``; ``default`` is
+    that field under ``--model <kind>`` without the flag (None: required).
+    """
+
+    key: str
+    options: dict
+    kind: str | None = None
+    default: object = None
+
+
+_FLAGS = {
+    "--dim": _Flag("model.dim", {"type": int, "help": "round-sphere dimension"}, "round", 3),
+    "--eta": _Flag("model.eta", {"type": float, "help": "Berger parameter"}, "berger"),
+    "--cpn-n": _Flag("model.n", {"type": int, "help": "CP^n complex dimension"}, "cpn", 2),
+    "--normalization": _Flag("normalization", {"choices": ["none", "upper", "lower"]}),
+    "--count": _Flag("sampler.count", {"type": int}),
+    "--seed": _Flag("sampler.seed", {"type": int}),
+    "--stratification": _Flag(
+        "sampler.stratification", {"choices": ["uniform", "include-special"]}
+    ),
+    "--step": _Flag("integrator.step", {"type": float}),
+    "--horizon": _Flag("integrator.horizon", {"type": float}),
+    "--time-tol": _Flag("tolerances.time_tol", {"type": float}),
+    "--rank-tol": _Flag("tolerances.rank_tol", {"type": float}),
+    "--weak-tol": _Flag("tolerances.weak_tol", {"type": float}),
+    "--curv-tol": _Flag("tolerances.curv_tol", {"type": float}),
+    "--format": _Flag("output.format", {"choices": ["json", "csv"]}),
+    "--output": _Flag("output.path", {"help": "write the report/table here"}),
 }
 
 
@@ -78,30 +115,29 @@ def _check_keys(section, allowed, context):
         raise ParameterError(f"unknown manifest keys in {context}: {sorted(unknown)}")
 
 
+def _whole(value, key):
+    """``value`` as an int if it is a whole number (3 or 3.0), not a bool."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ParameterError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def validate_manifest(manifest):
     _check_keys(manifest, DEFAULT_MANIFEST, "manifest")
-    model = manifest["model"]
-    kind = model.get("kind")
-    if kind not in _MODEL_KEYS:
-        raise ParameterError(f"unknown model kind: {kind!r}")
-    _check_keys(model, _MODEL_KEYS[kind], f"model ({kind})")
-    if manifest["normalization"] not in ("none", "upper", "lower"):
-        raise ParameterError("normalization must be one of none/upper/lower")
-    _check_keys(manifest["sampler"], {"count", "seed", "stratification"}, "sampler")
-    _check_keys(manifest["integrator"], {"step", "horizon"}, "integrator")
-    _check_keys(
-        manifest["tolerances"],
-        {"time_tol", "rank_tol", "weak_tol", "curv_tol"},
-        "tolerances",
-    )
-    _check_keys(manifest["output"], {"format", "path"}, "output")
-    if manifest["output"]["format"] not in ("json", "csv"):
-        raise ParameterError("output format must be json or csv")
+    build_model(manifest["model"])
+    for section in ("sampler", "integrator", "tolerances", "output"):
+        _check_keys(manifest[section], DEFAULT_MANIFEST[section], section)
+    for flag in _FLAGS.values():
+        choices = flag.options.get("choices")
+        section, _, leaf = flag.key.partition(".")
+        if choices and (manifest[section][leaf] if leaf else manifest[section]) not in choices:
+            raise ParameterError(f"{flag.key} must be one of {'/'.join(choices)}")
     samp = manifest["sampler"]
-    if int(samp["count"]) < 1:
+    if _whole(samp["count"], "sampler.count") < 1:
         raise ParameterError("sampler count must be positive")
-    if samp["stratification"] not in ("uniform", "include-special"):
-        raise ParameterError("stratification must be uniform or include-special")
+    _whole(samp["seed"], "sampler.seed")
     integ = manifest["integrator"]
     for key in ("step", "horizon"):
         if not (float(integ[key]) > 0):
@@ -139,17 +175,23 @@ def load_manifest(path=None, overrides=None):
     return validate_manifest(manifest)
 
 
-def build_model(spec):
-    kind = spec["kind"]
-    if kind == "round":
-        return RoundSphere(int(spec["dim"]))
-    if kind == "berger":
-        return BergerSphere(float(spec["eta"]))
-    if kind == "cpn":
-        return ComplexProjective(int(spec["n"]))
-    if kind == "scaled":
-        return Scaled(build_model(spec["base"]), float(spec["lam"]))
-    raise ParameterError(f"unknown model kind: {kind!r}")
+def build_model(spec, where="model"):
+    """The model of a manifest model section, read by its class's field annotations."""
+    if not isinstance(spec, dict):
+        raise ParameterError(f"{where} must be a JSON object")
+    kind = spec.get("kind")
+    if kind not in _MODEL_KINDS:
+        raise ParameterError(f"unknown model kind in {where}: {kind!r}")
+    fields = {f.name: f.type for f in dataclasses.fields(_MODEL_KINDS[kind])}
+    context = f"{where} ({kind})"
+    _check_keys(spec, {"kind", *fields}, context)
+    missing = sorted(set(fields) - set(spec))
+    if missing:
+        raise ParameterError(f"missing manifest keys in {context}: {missing}")
+    read = {"int": _whole, "float": lambda value, key: float(value), "ManifoldModel": build_model}
+    return _MODEL_KINDS[kind](
+        **{name: read[ann](spec[name], f"{where}.{name}") for name, ann in fields.items()}
+    )
 
 
 def resolve_model(manifest):
@@ -196,20 +238,11 @@ def resolve_initial(model, manifest, direction):
 # serialization helpers
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+def _json_default(obj):
+    """numpy arrays and scalars for ``json.dumps``; ``np.float64`` is a ``float`` already."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _fmt(value):
@@ -228,25 +261,23 @@ def write_csv(path, header, rows):
 
 
 def build_report(command, manifest, payload, summary, wall_clock):
-    return _jsonable(
-        {
-            "command": command,
-            "manifest": manifest,
-            "payload": payload,
-            "verdict_summary": summary,
-            "versions": {
-                "sphererank": __version__,
-                "numpy": np.__version__,
-                "scipy": scipy.__version__,
-                "python": sys.version.split()[0],
-            },
-            "wall_clock_seconds": wall_clock,
-        }
-    )
+    return {
+        "command": command,
+        "manifest": manifest,
+        "payload": payload,
+        "verdict_summary": summary,
+        "versions": {
+            "sphererank": __version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "python": sys.version.split()[0],
+        },
+        "wall_clock_seconds": wall_clock,
+    }
 
 
 def serialize_report(report):
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
 
 
 def _verdict_payload(verdict, tolerances):
@@ -280,10 +311,10 @@ def _verdict_payload(verdict, tolerances):
 # commands
 
 
-def cmd_scan_curvature(manifest):
+def cmd_scan_curvature(manifest, args):
     model = resolve_model(manifest)
-    s = manifest["sampler"]
-    scan = curvature_scan(model, int(s["count"]), int(s["seed"]))
+    sampler = _sampler(manifest)
+    scan = curvature_scan(model, sampler.count, sampler.seed)
     lo, hi = curvature_bounds(model)
 
     def plane(p):
@@ -311,10 +342,10 @@ def cmd_scan_curvature(manifest):
     return payload, (["extreme", "scanned", "closed_form"], rows), summary, 0
 
 
-def cmd_geodesic(manifest, direction):
+def cmd_geodesic(manifest, args):
     model = resolve_model(manifest)
     integ = manifest["integrator"]
-    initial = resolve_initial(model, manifest, direction)
+    initial = resolve_initial(model, manifest, args.direction)
     traj = geodesic_flow(model, initial, float(integ["horizon"]), float(integ["step"]))
     closure = model.point_distance(traj.points[-1], traj.points[0])
     payload = {
@@ -343,11 +374,11 @@ def cmd_geodesic(manifest, direction):
     return payload, (header, rows), summary, 0
 
 
-def cmd_conjugate(manifest, direction):
+def cmd_conjugate(manifest, args):
     model = resolve_model(manifest)
     integ = manifest["integrator"]
     tols = manifest["tolerances"]
-    initial = resolve_initial(model, manifest, direction)
+    initial = resolve_initial(model, manifest, args.direction)
     horizon = float(integ["horizon"])
     traj = geodesic_flow(model, initial, horizon, float(integ["step"]))
     frame = normal_frame(traj)
@@ -366,12 +397,12 @@ def cmd_conjugate(manifest, direction):
     return payload, (["t", "sigma_min"], rows), summary, 0
 
 
-def cmd_rank(manifest, prop):
+def cmd_rank(manifest, args):
     model = resolve_model(manifest)
     tols = manifest["tolerances"]
     sampler = _sampler(manifest)
     step = float(manifest["integrator"]["step"])
-    if prop == "positive-spherical":
+    if args.property == "positive-spherical":
         verdict = check_positive_spherical_rank(
             model,
             sampler,
@@ -380,17 +411,14 @@ def cmd_rank(manifest, prop):
             rank_tol=float(tols["rank_tol"]),
             step=step,
         )
-    elif prop in ("weak-upper", "weak-lower"):
-        side = prop.split("-")[1]
+    else:  # weak-upper or weak-lower
         verdict = check_weak_spherical_rank(
             model,
-            side,
+            args.property.split("-")[1],
             sampler,
             tol=float(tols["weak_tol"]),
             step=step,
         )
-    else:
-        raise ParameterError(f"unknown rank property: {prop!r}")
     payload = _verdict_payload(verdict, tols)
     if verdict.status != "ok":
         code = 2
@@ -406,7 +434,7 @@ def cmd_rank(manifest, prop):
     return payload, (header, rows), summary, code
 
 
-def cmd_berger_report(manifest):
+def cmd_berger_report(manifest, args):
     etas = manifest["eta_list"]
     if not etas:
         raise ParameterError("berger-report requires a non-empty eta list")
@@ -426,62 +454,33 @@ def cmd_berger_report(manifest):
 
 def _add_common(parser):
     parser.add_argument("--manifest", default=None, help="path to a JSON run manifest")
-    parser.add_argument("--model", default=None, choices=["round", "berger", "cpn"])
-    parser.add_argument("--dim", type=int, default=None, help="round-sphere dimension")
-    parser.add_argument("--eta", type=float, default=None, help="Berger parameter")
-    parser.add_argument("--cpn-n", type=int, default=None, help="CP^n complex dimension")
-    parser.add_argument(
-        "--normalization", default=None, choices=["none", "upper", "lower"]
-    )
-    parser.add_argument("--count", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument(
-        "--stratification", default=None, choices=["uniform", "include-special"]
-    )
-    parser.add_argument("--step", type=float, default=None)
-    parser.add_argument("--horizon", type=float, default=None)
-    parser.add_argument("--time-tol", type=float, default=None)
-    parser.add_argument("--rank-tol", type=float, default=None)
-    parser.add_argument("--weak-tol", type=float, default=None)
-    parser.add_argument("--curv-tol", type=float, default=None)
-    parser.add_argument("--format", default=None, choices=["json", "csv"])
-    parser.add_argument("--output", default=None, help="write the report/table here")
+    kinds = [flag.kind for flag in _FLAGS.values() if flag.kind]
+    parser.add_argument("--model", default=None, choices=kinds)
+    for name, flag in _FLAGS.items():
+        parser.add_argument(name, default=None, **flag.options)
 
 
 def _overrides(args):
-    out = {}
-    if args.model is not None:
-        spec = {"kind": args.model}
-        if args.model == "round":
-            spec["dim"] = args.dim if args.dim is not None else 3
-        elif args.model == "berger":
-            if args.eta is None:
-                raise ParameterError("--model berger requires --eta")
-            spec["eta"] = args.eta
-        elif args.model == "cpn":
-            spec["n"] = args.cpn_n if args.cpn_n is not None else 2
-        out["model"] = spec
-    elif args.eta is not None:
-        out["model"] = {"kind": "berger", "eta": args.eta}
-    elif args.dim is not None:
-        out["model"] = {"kind": "round", "dim": args.dim}
-    elif args.cpn_n is not None:
-        out["model"] = {"kind": "cpn", "n": args.cpn_n}
-    simple = {
-        "normalization": args.normalization,
-        "sampler.count": args.count,
-        "sampler.seed": args.seed,
-        "sampler.stratification": args.stratification,
-        "integrator.step": args.step,
-        "integrator.horizon": args.horizon,
-        "tolerances.time_tol": args.time_tol,
-        "tolerances.rank_tol": args.rank_tol,
-        "tolerances.weak_tol": args.weak_tol,
-        "tolerances.curv_tol": args.curv_tol,
-        "output.format": args.format,
-        "output.path": args.output,
-    }
-    out.update({k: v for k, v in simple.items() if v is not None})
+    """Manifest overrides from the flags given; model flags replace the model section."""
+    given = {name: getattr(args, name[2:].replace("-", "_")) for name in _FLAGS}
+    given = {name: value for name, value in given.items() if value is not None}
+    out = {_FLAGS[name].key: value for name, value in given.items() if not _FLAGS[name].kind}
+    params = [name for name in given if _FLAGS[name].kind]
+    kinds = {_FLAGS[name].kind for name in params} | ({args.model} - {None})
+    if len(kinds) > 1:
+        named = ([f"--model {args.model}"] if args.model else []) + params
+        raise ParameterError(f"{', '.join(named)}: flags of different model kinds")
+    if kinds:
+        (kind,) = kinds
+        out["model"] = {"kind": kind}
+        for name, flag in _FLAGS.items():
+            if flag.kind in kinds:
+                value = given.get(name, flag.default)
+                if value is None:
+                    raise ParameterError(f"--model {kind} requires {name}")
+                out["model"][flag.key.partition(".")[2]] = value
+    if getattr(args, "etas", None) is not None:
+        out["eta_list"] = [float(x) for x in args.etas.split(",") if x.strip()]
     return out
 
 
@@ -494,17 +493,21 @@ def make_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scan-curvature", help="sampled sectional-curvature extremes")
+    p.set_defaults(run=cmd_scan_curvature)
     _add_common(p)
 
     p = sub.add_parser("geodesic", help="integrate one geodesic and trace it")
+    p.set_defaults(run=cmd_geodesic)
     _add_common(p)
     p.add_argument("--direction", default="sample-0")
 
     p = sub.add_parser("conjugate", help="conjugate events along one geodesic")
+    p.set_defaults(run=cmd_conjugate)
     _add_common(p)
     p.add_argument("--direction", default="sample-0")
 
     p = sub.add_parser("rank", help="aggregate rank verdict over sampled geodesics")
+    p.set_defaults(run=cmd_rank)
     _add_common(p)
     p.add_argument(
         "--property",
@@ -513,32 +516,18 @@ def make_parser():
     )
 
     p = sub.add_parser("berger-report", help="survey a list of Berger parameters")
+    p.set_defaults(run=cmd_berger_report)
     _add_common(p)
     p.add_argument("--etas", default=None, help="comma-separated eta values")
     return parser
 
 
 def main(argv=None):
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        overrides = _overrides(args)
-        if args.command == "berger-report" and args.etas is not None:
-            overrides["eta_list"] = [float(x) for x in args.etas.split(",") if x.strip()]
-        manifest = load_manifest(args.manifest, overrides)
-        if args.command == "scan-curvature":
-            payload, table, summary, code = cmd_scan_curvature(manifest)
-        elif args.command == "geodesic":
-            payload, table, summary, code = cmd_geodesic(manifest, args.direction)
-        elif args.command == "conjugate":
-            payload, table, summary, code = cmd_conjugate(manifest, args.direction)
-        elif args.command == "rank":
-            payload, table, summary, code = cmd_rank(manifest, args.property)
-        elif args.command == "berger-report":
-            payload, table, summary, code = cmd_berger_report(manifest)
-        else:  # pragma: no cover
-            raise ParameterError(f"unknown command {args.command!r}")
+        manifest = load_manifest(args.manifest, _overrides(args))
+        payload, table, summary, code = args.run(manifest, args)
     except Exception as exc:  # noqa: BLE001 - single CLI error boundary
         print(f"error: {exc}", file=sys.stderr)
         return 2

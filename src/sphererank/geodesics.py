@@ -187,14 +187,6 @@ class Trajectory:
             self._mid = hermite_midpoints(self.model, self.times, self.points, self.velocities)
         return self._mid
 
-    def state(self, i):
-        p = Point(self.points[i])
-        return GeodesicState(p, Tangent(p, self.velocities[i]))
-
-    @property
-    def states(self):
-        return [self.state(i) for i in range(len(self.times))]
-
     def state_at(self, t):
         """Hermite-interpolated state at time ``t``, projected to the model."""
         i, s, h = _locate(self.times, float(t), "trajectory")
@@ -300,16 +292,6 @@ class ParallelField:
 
     trajectory: Trajectory
     components: np.ndarray
-
-    @property
-    def vectors(self):
-        return [
-            Tangent(Point(self.trajectory.points[i]), self.components[i])
-            for i in range(len(self.trajectory.times))
-        ]
-
-    def at_index(self, i):
-        return Tangent(Point(self.trajectory.points[i]), self.components[i])
 
 
 def initial_normal_frame(model, x0, v0):

@@ -152,14 +152,11 @@ class ManifoldModel:
       state (point, velocity coordinates);
     * ``transport_rhs(w, *c)`` -- the derivative of a parallel field ``w``
       along a geodesic, given one sample's rows ``c`` of
-      ``transport_coeffs`` (by default the point and the velocity);
-    * ``describe()`` -- the manifest form of the model.
+      ``transport_coeffs`` (by default the point and the velocity).
 
     ``canonical_point``, ``point_distance``, ``project_point``,
     ``project_state`` and ``transport_coeffs`` have defaults below.
     """
-
-    kind = "abstract"
 
     def canonical_point(self, p):
         """Canonical coordinate representative (fixes the phase on CP^n)."""
@@ -228,8 +225,6 @@ class RoundSphere(_AmbientSphere):
 
     dim: int
 
-    kind = "round"
-
     def __post_init__(self):
         if int(self.dim) != self.dim or self.dim < 2:
             raise ParameterError("RoundSphere dimension must be an integer >= 2")
@@ -259,9 +254,6 @@ class RoundSphere(_AmbientSphere):
         if abs(float(_dot(u, p))) > TANGENT_ORTHO_TOL * max(1.0, float(np.linalg.norm(u))):
             raise DomainError("RoundSphere tangent must be orthogonal to its base point")
 
-    def describe(self):
-        return {"kind": "round", "dim": self.dim}
-
 
 @dataclass(frozen=True)
 class BergerSphere(ManifoldModel):
@@ -274,8 +266,6 @@ class BergerSphere(ManifoldModel):
     """
 
     eta: float
-
-    kind = "berger"
 
     def __post_init__(self):
         if not (self.eta > 0):
@@ -354,9 +344,6 @@ class BergerSphere(ManifoldModel):
         if u.shape[-1] != 3:
             raise DomainError("BergerSphere tangent must have 3 frame coefficients")
 
-    def describe(self):
-        return {"kind": "berger", "eta": float(self.eta)}
-
 
 @dataclass(frozen=True)
 class ComplexProjective(_AmbientSphere):
@@ -370,8 +357,6 @@ class ComplexProjective(_AmbientSphere):
     """
 
     n: int
-
-    kind = "cpn"
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 1:
@@ -440,9 +425,6 @@ class ComplexProjective(_AmbientSphere):
         phase = np.where(mag > 1e-300, corr / np.where(mag > 1e-300, mag, 1.0), 1.0)
         return float(np.linalg.norm(zp - phase * zq))
 
-    def describe(self):
-        return {"kind": "cpn", "n": int(self.n)}
-
 
 @dataclass(frozen=True)
 class Scaled(ManifoldModel):
@@ -455,8 +437,6 @@ class Scaled(ManifoldModel):
 
     base: ManifoldModel
     lam: float
-
-    kind = "scaled"
 
     def __post_init__(self):
         if not (self.lam > 0):
@@ -522,9 +502,6 @@ class Scaled(ManifoldModel):
 
     def point_distance(self, p, q):
         return self.base.point_distance(p, q)
-
-    def describe(self):
-        return {"kind": "scaled", "lam": float(self.lam), "base": self.base.describe()}
 
 
 def unwrap(model):
@@ -653,10 +630,9 @@ def uniform_dims(model):
 
 def points_from_uniforms(model, u):
     """Map uniform rows to model points (Gaussian radial map, then normalize)."""
-    core, _ = unwrap(model)
     g = gaussians_from_uniforms(u)
     p = g / np.linalg.norm(g, axis=-1, keepdims=True)
-    return core.canonical_point(p)
+    return model.canonical_point(p)
 
 
 def tangents_from_uniforms(model, points, u):
@@ -768,7 +744,6 @@ def curvature_scan(model, sample_count, seed):
 
 def point_distance(model, p, q):
     """Distance between coordinate representatives (phase-invariant on CP^n)."""
-    core, _ = unwrap(model)
     pa = p.coordinates if isinstance(p, Point) else np.asarray(p, dtype=float)
     qa = q.coordinates if isinstance(q, Point) else np.asarray(q, dtype=float)
-    return core.point_distance(pa, qa)
+    return model.point_distance(pa, qa)

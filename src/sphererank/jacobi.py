@@ -37,7 +37,7 @@ class CurvatureProfile:
     """Sampled frame components of the Jacobi operator R(., v)v along a geodesic.
 
     In the views of a rank bundle that kept only K, ``trajectory`` is None
-    and ``frame`` is empty.
+    and ``frame`` is empty: what needs either raises ``DomainError``.
     """
 
     trajectory: Trajectory | None
@@ -50,7 +50,15 @@ class CurvatureProfile:
 
     @property
     def times(self):
+        if self.trajectory is None:
+            raise DomainError("a curvature profile that kept only K has no trajectory")
         return self.trajectory.times
+
+    def frame_components(self):
+        """The frame fields' components stacked as (T, k, tangent_dim)."""
+        if not self.frame:
+            raise DomainError("a curvature profile that kept only K has no frame")
+        return np.stack([f.components for f in self.frame], axis=1)
 
     def midpoints(self):
         if self._mid is None:
@@ -380,6 +388,7 @@ def spherical_witness(K, tol):
 
 def spherical_field(profile, tol=1e-6):
     """Certificate for a parallel unit normal field spanning curvature-1 planes."""
+    E = profile.frame_components()
     eigmax = float(np.max(np.linalg.eigvalsh(profile.K)))
     if eigmax > 1.0 + tol:
         raise DomainError("curvature along the geodesic exceeds 1 + tol")
@@ -387,7 +396,7 @@ def spherical_field(profile, tol=1e-6):
     if hit is None:
         return None
     c, deviation, _ = hit
-    E = np.einsum("a,tad->td", c, np.stack([f.components for f in profile.frame], axis=1))
+    E = np.einsum("a,tad->td", c, E)
     return SphericalFieldCertificate(
         field=ParallelField(profile.trajectory, E),
         deviation=deviation,
@@ -422,7 +431,7 @@ def verify_sturm_bound(profile, x0, horizon, tol=1e-7, xp0=None):
     if horizon > times[-1] + 1e-12:
         raise ParameterError("horizon exceeds the profile domain")
 
-    E = np.stack([f.components for f in profile.frame], axis=1)
+    E = profile.frame_components()
     model = profile.trajectory.model
     y0 = model.inner(E[0], x0.components[None, :])
     norm0 = float(np.linalg.norm(y0))

@@ -41,6 +41,23 @@ def test_manifest_rejects_unknown_keys(tmp_path):
     path.write_text(json.dumps({"integrator": {"step": 0.0}}))
     with pytest.raises(ParameterError):
         cli.load_manifest(str(path))
+    # each names the key: a nested unknown key, fractions where a whole number
+    # belongs (int() would truncate them), a missing key, a bool count
+    base = {"kind": "round", "dim": 3, "foo": 1}
+    cases = [
+        ({"model": {"kind": "scaled", "lam": 2.0, "base": base}}, "foo"),
+        ({"model": {"kind": "round", "dim": 3.7}}, "model.dim"),
+        ({"model": {"kind": "cpn", "n": 2.5}}, "model.n"),
+        ({"sampler": {"count": 2.7}}, "sampler.count"),
+        ({"sampler": {"seed": 1.5}}, "sampler.seed"),
+        ({"sampler": {"count": True}}, "sampler.count"),
+        ({"model": {"kind": "round"}}, "dim"),
+        ({"model": {"kind": "scaled", "lam": 2.0, "base": {"kind": "cpn"}}}, "'n'"),
+    ]
+    for data, key in cases:
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParameterError, match=key):
+            cli.load_manifest(str(path))
 
 
 def test_build_model_variants():
@@ -50,6 +67,18 @@ def test_build_model_variants():
     assert isinstance(m, Scaled) and isinstance(m.base, RoundSphere)
     with pytest.raises(ParameterError):
         cli.build_model({"kind": "torus"})
+    # a whole number written as a float runs as that integer
+    assert cli.build_model({"kind": "round", "dim": 3.0}) == RoundSphere(3)
+    assert type(cli.build_model({"kind": "cpn", "n": 2.0}).n) is int
+    for spec, key in [
+        ({"kind": "round", "dim": 3.7}, "model.dim"),
+        ({"kind": "round", "dim": True}, "model.dim"),
+        ({"kind": "berger"}, "eta"),
+        ({"kind": "scaled", "base": {"kind": "round", "dim": 3}}, "lam"),
+        ({"kind": "scaled", "lam": 2.0, "base": {"kind": "round", "dim": 3, "foo": 1}}, "foo"),
+    ]:
+        with pytest.raises(ParameterError, match=key):
+            cli.build_model(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +246,13 @@ def test_invalid_inputs_exit_2(capsys):
     code = cli.main(["conjugate", "--model", "round", "--dim", "3", "--direction", "fiber"])
     capsys.readouterr()
     assert code == 2
+    # a model flag must belong to --model's kind, and to one kind only
+    for flags in (["--eta", "0.5", "--dim", "4"], ["--model", "round", "--eta", "0.5"],
+                  ["--model", "cpn", "--dim", "7"], ["--cpn-n", "2", "--eta", "0.5"]):
+        code = cli.main(["scan-curvature", "--count", "8"] + flags)
+        err = capsys.readouterr().err
+        assert code == 2, flags
+        assert all(f in err for f in flags if f.startswith("--")), (flags, err)
     # a tolerance of inf would pass every check it guards, or fail far from the manifest
     weak = ["rank", "--property", "weak-upper", "--model", "berger", "--eta", "0.5"]
     weak += ["--normalization", "upper", "--count", "4", "--seed", "3"]

@@ -132,6 +132,24 @@ def test_bundle_analyzes_on_the_2x_grid_with_a_flow_midpoint_everywhere(horizon)
         assert np.array_equal(profile.midpoints(), bundle["Kmid"][:, b])
 
 
+def test_a_profile_that_kept_only_k_raises_domain_error():
+    m = sr.RoundSphere(3)
+    P, W = sr.GeodesicSampler(2, 5).states(m)
+    bundle = rank_mod._bundle(m, P, W, 1.0, 0.01, frame=False)
+    profile, _ = rank_mod._views(m, bundle, rank_mod._propagate_bundle(bundle), 0)
+    x0 = sr.Tangent(sr.Point(P[0]), W[0])
+    calls = [
+        lambda: profile.times,
+        profile.midpoints,
+        lambda: sr.jacobi_propagate(profile),
+        lambda: sr.spherical_field(profile),
+        lambda: sr.verify_sturm_bound(profile, x0, 1.0),
+    ]
+    for call in calls:
+        with pytest.raises(sr.DomainError):
+            call()
+
+
 def test_evaluate_takes_an_array_of_times():
     _, _, prop = _pipeline(sr.RoundSphere(3), [1, 0, 0, 0], [0, 1, 0, 0], 2.0)
     ts = np.array([0.0, 0.31234, 1.0, 2.0])
