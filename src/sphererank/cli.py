@@ -34,7 +34,6 @@ from .geometry import (
     Tangent,
     curvature_bounds,
     curvature_scan,
-    unwrap,
 )
 from .jacobi import curvature_profile, detect_events, jacobi_propagate
 from .rank import (
@@ -110,6 +109,8 @@ _FLAGS = {
 
 
 def _check_keys(section, allowed, context):
+    if not isinstance(section, dict):
+        raise ParameterError(f"{context} must be a JSON object, got {section!r}")
     unknown = set(section) - set(allowed)
     if unknown:
         raise ParameterError(f"unknown manifest keys in {context}: {sorted(unknown)}")
@@ -124,11 +125,16 @@ def _whole(value, key):
     return int(value)
 
 
+def _real(value, key):
+    """``value`` as a float if it is a JSON number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParameterError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def validate_manifest(manifest):
-    _check_keys(manifest, DEFAULT_MANIFEST, "manifest")
+    """Check the values of a manifest whose keys ``load_manifest`` has checked."""
     build_model(manifest["model"])
-    for section in ("sampler", "integrator", "tolerances", "output"):
-        _check_keys(manifest[section], DEFAULT_MANIFEST[section], section)
     for flag in _FLAGS.values():
         choices = flag.options.get("choices")
         section, _, leaf = flag.key.partition(".")
@@ -140,16 +146,15 @@ def validate_manifest(manifest):
     _whole(samp["seed"], "sampler.seed")
     integ = manifest["integrator"]
     for key in ("step", "horizon"):
-        if not (float(integ[key]) > 0):
+        if not (_real(integ[key], f"integrator.{key}") > 0):
             raise ParameterError(f"integrator {key} must be positive")
     for key, val in manifest["tolerances"].items():
-        if not 0 < float(val) < math.inf:  # NaN fails too
+        if not 0 < _real(val, f"tolerances.{key}") < math.inf:  # NaN fails too
             raise ParameterError(f"tolerance {key} must be finite and positive")
-    if manifest["eta_list"] is not None:
-        if not isinstance(manifest["eta_list"], list) or not all(
-            isinstance(x, (int, float)) for x in manifest["eta_list"]
-        ):
-            raise ParameterError("eta_list must be a list of numbers")
+    if not isinstance(manifest["eta_list"], (list, type(None))):
+        raise ParameterError("eta_list must be a list of numbers")
+    for eta in manifest["eta_list"] or ():
+        _real(eta, "eta_list")
     return manifest
 
 
@@ -158,11 +163,11 @@ def load_manifest(path=None, overrides=None):
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ParameterError("manifest must be a JSON object")
         _check_keys(data, DEFAULT_MANIFEST, "manifest")
         for key, value in data.items():
-            if key != "model" and isinstance(value, dict) and isinstance(manifest.get(key), dict):
+            # a section is checked before a flag can write into it
+            if key != "model" and isinstance(manifest[key], dict):
+                _check_keys(value, manifest[key], key)
                 manifest[key].update(value)
             else:
                 manifest[key] = value
@@ -188,7 +193,7 @@ def build_model(spec, where="model"):
     missing = sorted(set(fields) - set(spec))
     if missing:
         raise ParameterError(f"missing manifest keys in {context}: {missing}")
-    read = {"int": _whole, "float": lambda value, key: float(value), "ManifoldModel": build_model}
+    read = {"int": _whole, "float": _real, "ManifoldModel": build_model}
     return _MODEL_KINDS[kind](
         **{name: read[ann](spec[name], f"{where}.{name}") for name, ann in fields.items()}
     )
@@ -209,19 +214,15 @@ def _sampler(manifest):
 def resolve_initial(model, manifest, direction):
     """Initial geodesic state from a direction spec.
 
-    ``fiber`` / ``horizontal`` select the special Berger directions at the
-    identity; ``sample-<k>`` takes the k-th draw of the manifest sampler and
-    ``sample`` the first.
+    A name of the model's ``special_directions`` (``fiber`` / ``horizontal``
+    on Berger spheres) selects that direction, g-normalized; ``sample-<k>``
+    takes the k-th draw of the manifest sampler and ``sample`` the first.
     """
-    core, _ = unwrap(model)
-    if direction in ("fiber", "horizontal"):
-        if not isinstance(core, BergerSphere):
-            raise ParameterError(f"direction {direction!r} requires a Berger model")
-        q0 = np.array([1.0, 0.0, 0.0, 0.0])
-        w = np.array([1.0, 0.0, 0.0]) if direction == "fiber" else np.array([0.0, 1.0, 0.0])
-        w = w / math.sqrt(float(model.inner(w, w)))
-        p = Point(q0)
-        return GeodesicState(p, Tangent(p, w))
+    special = model.special_directions()
+    if direction in special:
+        q, w = special[direction]
+        p = Point(q)
+        return GeodesicState(p, Tangent(p, w / math.sqrt(float(model.inner(w, w)))))
     sample = re.fullmatch(r"sample(?:-(\d+))?", direction)
     if sample:
         k = int(sample[1] or 0)
@@ -231,7 +232,7 @@ def resolve_initial(model, manifest, direction):
         P, W = sampler.states(model)
         p = Point(P[k])
         return GeodesicState(p, Tangent(p, W[k]))
-    raise ParameterError(f"unknown direction spec: {direction!r}")
+    raise ParameterError(f"unknown direction spec for this model: {direction!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -163,9 +163,6 @@ class Trajectory:
     def __post_init__(self):
         self._mid = None
 
-    def __len__(self):
-        return len(self.times)
-
     @property
     def horizon(self):
         return float(self.times[-1])

@@ -155,8 +155,23 @@ class ManifoldModel:
       ``transport_coeffs`` (by default the point and the velocity).
 
     ``canonical_point``, ``point_distance``, ``project_point``,
-    ``project_state`` and ``transport_coeffs`` have defaults below.
+    ``project_state`` and ``transport_coeffs`` have defaults below, and so
+    do the two hooks of a geometry with distinguished directions:
+
+    * ``special_directions()`` -- ``{name: (point, tangent components)}``,
+      the directions a sampler forces and the CLI selects by name, not
+      normalized; ``{}`` by default;
+    * ``killing_direction()`` -- the tangent components of a Killing field
+      whose normal part is the weak-rank witness; None by default.
     """
+
+    def special_directions(self):
+        """Named initial directions; a geometry without any returns ``{}``."""
+        return {}
+
+    def killing_direction(self):
+        """Tangent components of the witnessing Killing field, or None."""
+        return None
 
     def canonical_point(self, p):
         """Canonical coordinate representative (fixes the phase on CP^n)."""
@@ -328,6 +343,15 @@ class BergerSphere(ManifoldModel):
         # v in the frame's shape: products of equal shapes run as one flat
         # loop, where a broadcast iterates 3-element rows
         return X[..., None, :], np.repeat(V[..., None, :], m, axis=-2)
+
+    def special_directions(self):
+        """The Hopf fiber ``i`` and the horizontal ``j`` at the identity."""
+        q0, eye = np.array([1.0, 0.0, 0.0, 0.0]), np.eye(3)
+        return {"fiber": (q0, eye[0]), "horizontal": (q0, eye[1])}
+
+    def killing_direction(self):
+        """The left-invariant Hopf field ``i``, a Killing field of every Berger metric."""
+        return np.array([1.0, 0.0, 0.0])
 
     def tangent_basis(self, p):
         eye = np.eye(4)
@@ -502,6 +526,12 @@ class Scaled(ManifoldModel):
 
     def point_distance(self, p, q):
         return self.base.point_distance(p, q)
+
+    def special_directions(self):
+        return self.base.special_directions()
+
+    def killing_direction(self):
+        return self.base.killing_direction()
 
 
 def unwrap(model):

@@ -1,7 +1,7 @@
 """Spherical-rank verdicts aggregated over sampled geodesics.
 
 "Every geodesic" is approximated by a seeded low-discrepancy sample of the
-unit tangent bundle (plus forced special directions on Berger spheres).  For
+unit tangent bundle (plus the model's forced ``special_directions``).  For
 each sampled geodesic the pipeline integrates the trajectory, transports a
 parallel normal frame, assembles the curvature profile, and propagates the
 Jacobi fundamental solution; geodesics in a chunk (``DEFAULT_CHUNK`` of them
@@ -25,6 +25,7 @@ from .geodesics import (
     GeodesicState,
     ParallelField,
     Trajectory,
+    _hermite,
     flow_arrays,
     frame_arrays,
     geodesic_flow,
@@ -42,7 +43,6 @@ from .geometry import (
     sobol_uniforms,
     tangents_from_uniforms,
     uniform_dims,
-    unwrap,
 )
 from .jacobi import (
     CurvatureProfile,
@@ -71,9 +71,9 @@ WEAK_LOWER = "weak-lower"
 class GeodesicSampler:
     """Deterministic sample of unit-speed initial conditions.
 
-    ``include-special`` forces the Hopf fiber direction and a purely
-    horizontal direction into Berger-sphere samples (it is a no-op for the
-    other models, which have no distinguished directions).
+    ``include-special`` puts the model's ``special_directions`` (on Berger
+    spheres the Hopf fiber and a purely horizontal direction), g-normalized,
+    in the first rows; it is a no-op on models without any.
     """
 
     count: int
@@ -92,17 +92,10 @@ class GeodesicSampler:
         u = sobol_uniforms(dp + dt, self.count, self.seed)
         P = points_from_uniforms(model, u[:, :dp])
         W = tangents_from_uniforms(model, P, u[:, dp:])
-        core, _ = unwrap(model)
-        if self.stratification == "include-special" and isinstance(core, BergerSphere):
-            P = np.array(P)
-            W = np.array(W)
-            P[0] = np.array([1.0, 0.0, 0.0, 0.0])
-            fiber = np.array([1.0, 0.0, 0.0])
-            W[0] = fiber / math.sqrt(float(model.inner(fiber, fiber)))
-            if self.count >= 2:
-                P[1] = np.array([1.0, 0.0, 0.0, 0.0])
-                horiz = np.array([0.0, 1.0, 0.0])
-                W[1] = horiz / math.sqrt(float(model.inner(horiz, horiz)))
+        if self.stratification == "include-special":
+            special = list(model.special_directions().values())[: self.count]
+            for i, (p, w) in enumerate(special):
+                P[i], W[i] = p, w / math.sqrt(float(model.inner(w, w)))
         return P, W
 
 
@@ -141,10 +134,6 @@ class RankVerdict:
     evidence: list
     worst_case: int | None
     detail: str
-
-    @property
-    def precondition_ok(self):
-        return self.status == "ok"
 
 
 # ---------------------------------------------------------------------------
@@ -353,25 +342,24 @@ def check_positive_spherical_rank(
 
 
 def _killing_field(model, V):
-    """Hopf direction minus its g-projection onto the velocities ``V``."""
-    hopf = np.zeros_like(V)
-    hopf[..., 0] = 1.0
-    num = model.inner(hopf, V)
+    """The model's Killing direction minus its g-projection onto the velocities ``V``."""
+    killing = model.killing_direction()
+    if killing is None:
+        raise DomainError(f"{type(model).__name__} has no Killing direction")
+    field = np.zeros_like(V)
+    field[...] = killing
+    num = model.inner(field, V)
     den = model.inner(V, V)
-    return hopf - (num / den)[..., None] * V
+    return field - (num / den)[..., None] * V
 
 
 def killing_jacobi_field(model, trajectory):
-    """Normal part of the Hopf Killing field along a Berger-sphere geodesic.
+    """Normal part of the model's Killing field, sampled at ``trajectory.times``.
 
-    Returns frame-coefficient samples aligned with ``trajectory.times``.  The
-    Killing field is the left-invariant Hopf direction itself; subtracting
-    its g-projection onto the velocity leaves a normal Jacobi field spanning
-    a plane of curvature eta^2 (in the unscaled metric) with the velocity.
+    On a Berger sphere it spans a plane of curvature eta^2 (in the unscaled
+    metric) with the velocity.  A model without a ``killing_direction``
+    raises ``DomainError``.
     """
-    core, _ = unwrap(model)
-    if not isinstance(core, BergerSphere):
-        raise DomainError("killing_jacobi_field requires a Berger sphere")
     return _killing_field(model, trajectory.velocities)
 
 
@@ -384,16 +372,6 @@ def _field_deviation(times, K, Y, tol):
     n2 = norms**2
     sec = np.einsum("ti,tij,tj->t", Y, K, Y) / np.where(included, n2, 1.0)
     return float(np.max(np.abs(sec[included] - 1.0))), int(np.sum(~included))
-
-
-def _killing_deviation(model, times, V, E, K, tol):
-    """(deviation, excluded count) of the Killing witness for one geodesic."""
-    y = model.inner(_killing_field(model, V)[:, None, :], E)
-    dev, excluded = _field_deviation(times, K, y, tol)
-    if excluded == len(times):
-        # vertical geodesic: every plane through the velocity must be extremal
-        dev = float(np.max(np.abs(np.linalg.eigvalsh(K) - 1.0)))
-    return dev, excluded
 
 
 def weak_field_search(times, K, M, N, tol):
@@ -449,8 +427,7 @@ def check_weak_spherical_rank(
         raise ParameterError(
             f"model is not normalized: {side} bound is {bound:.9g}, expected 1"
         )
-    core, _ = unwrap(model)
-    berger = isinstance(core, BergerSphere)
+    has_killing = model.killing_direction() is not None
     prop_name = WEAK_UPPER if side == "upper" else WEAK_LOWER
 
     P, W = sampler.states(model)
@@ -466,10 +443,12 @@ def check_weak_spherical_rank(
             idx = a + i
             dev, excluded = math.inf, 0
             if not uses_search:
-                if berger:
-                    dev, excluded = _killing_deviation(
-                        model, times, V[:, i], E[:, i], K[:, i], tol
-                    )
+                if has_killing:
+                    y = model.inner(_killing_field(model, V[:, i])[:, None, :], E[:, i])
+                    dev, excluded = _field_deviation(times, K[:, i], y, tol)
+                    if excluded == len(times):
+                        # vertical geodesic: every plane through the velocity must be extremal
+                        dev = float(np.max(np.abs(np.linalg.eigvalsh(K[:, i]) - 1.0)))
                 else:
                     hit = spherical_witness(K[:, i], max(tol, 1e-8))
                     if hit is not None:
@@ -536,44 +515,34 @@ class BergerReportRow:
         return asdict(self)
 
 
-def _golden_minimize(f, a, b, tol):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def measure_fiber_time(eta, step=DEFAULT_STEP):
-    """Arc length at which the integrated Hopf-fiber geodesic first closes up."""
+    """Arc length at which the integrated Hopf-fiber geodesic first closes up.
+
+    On unit quaternions |q - q0|^2 = 2 - 2 <q, q0>, so the closure time is
+    the maximizer of the cubic Hermite interpolant of f = <q, q0>, with the
+    exact node slopes of ``state_rhs``: a quadratic root in each of the two
+    grid cells around the best node, whichever interpolates higher.
+    """
     model = BergerSphere(eta)
-    q0 = np.array([1.0, 0.0, 0.0, 0.0])
-    fiber = np.array([1.0 / eta, 0.0, 0.0])
-    period = 2.0 * math.pi * eta
-    p0 = Point(q0)
-    traj = geodesic_flow(
-        model, GeodesicState(p0, Tangent(p0, fiber)), 1.25 * period, step
-    )
-    d = np.linalg.norm(traj.points - q0, axis=-1)
-    window = (traj.times > 0.5 * period) & (traj.times < 1.25 * period)
-    idx = np.nonzero(window)[0]
-    j = idx[np.argmin(d[idx])]
-    a = traj.times[max(j - 1, 0)]
-    b = traj.times[min(j + 1, len(traj.times) - 1)]
-
-    def dist(t):
-        return np.linalg.norm(traj.state_at(t).point.coordinates - q0)
-
-    return float(_golden_minimize(dist, a, b, 1e-9))
+    q0, w = model.special_directions()["fiber"]
+    p0, period = Point(q0), 2.0 * math.pi * eta
+    initial = GeodesicState(p0, Tangent(p0, w / math.sqrt(float(model.inner(w, w)))))
+    traj = geodesic_flow(model, initial, 1.25 * period, step)
+    f = traj.points @ q0
+    window = np.nonzero((traj.times > 0.5 * period) & (traj.times < 1.25 * period))[0]
+    j = window[np.argmax(f[window])]
+    t, f, X, V = (a[j - 1 : j + 2] for a in (traj.times, f, traj.points, traj.velocities))
+    d = model.state_rhs(X, V)[0] @ q0
+    h = np.diff(t)
+    # the interpolant's derivative in the cell fraction s is a s^2 + b s + c;
+    # its falling root, in the form free of cancellation
+    fall = f[:-1] - f[1:]
+    a = 6.0 * fall + 3.0 * h * (d[:-1] + d[1:])
+    b = -6.0 * fall - 2.0 * h * (2.0 * d[:-1] + d[1:])
+    c = h * d[:-1]
+    s = np.clip(2.0 * c / (np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0)) - b), 0.0, 1.0)
+    k = np.argmax(_hermite(s, h, f, d))
+    return float(t[k] + s[k] * h[k])
 
 
 def berger_report(etas, sampler, *, step=DEFAULT_STEP, scan_samples=10000):

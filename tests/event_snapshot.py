@@ -9,15 +9,21 @@ Run once per commit and compare the two files:
 The set is the positive-rank check with Richardson on S^2..S^6 (window
 3.5), on upper-normalized CP^2, Berger(1.2) and Berger(0.6), 200 geodesics
 each, and ``detect_events`` on 64 unnormalized geodesics of Berger(0.5) and
-Berger(1.2) to t = 7.9 and of CP^2 to 2 pi + 0.2.  Event times are stored
-as ``float.hex``.  The comparison prints, per case, whether event counts,
+Berger(1.2) to t = 7.9 and of CP^2 to 2 pi + 0.2.  It also holds the weak
+checks of acceptance criterion 6 (Killing witness on 100 geodesics, search
+on 10, for lower-normalized Berger(0.8) and upper-normalized Berger(1.2)),
+the witness check on 128 geodesics of upper-normalized Berger(1.2), and the
+sampler's initial states for Berger(0.8), Berger(0.8) scaled by 1.3, S^3
+and CP^2.  Event times, weak deviations and states are stored as
+``float.hex``.  The comparison prints, per case, whether event counts,
 multiplicities and verdict fields are equal, the largest event-time
 difference, the range of Richardson gaps on each side, and any change of
-``worst_case``; it exits non-zero when counts, multiplicities or verdict
-fields differ, when an event time moved by more than
-``EVENT_TIME_RESOLUTION``, or when an "after" Richardson gap on a geodesic
-with an event lies outside (0, ``RICHARDSON_AGREEMENT``]: a gap of exactly
-zero means the self-check cannot fail.
+``worst_case``; it exits non-zero when counts, multiplicities, verdict or
+per-geodesic fields (weak deviations included) or sampler states differ,
+when an event time moved by more than ``EVENT_TIME_RESOLUTION``, or when an
+"after" Richardson gap on a geodesic with an event lies outside
+(0, ``RICHARDSON_AGREEMENT``]: a gap of exactly zero means the self-check
+cannot fail.
 
 pytest does not collect this file.
 """
@@ -28,11 +34,15 @@ import sys
 
 SEED = 20240809
 VERDICT_FIELDS = ("holds", "status", "detail")
-GEODESIC_FIELDS = ("passes", "has_certificate")
+GEODESIC_FIELDS = ("passes", "has_certificate", "excluded_samples", "weak_deviation")
 
 
 def _events(events):
     return [[e.time.hex(), e.multiplicity] for e in events]
+
+
+def _hex(array):
+    return [float(x).hex() for x in array.ravel()]
 
 
 def _checks(sr):
@@ -52,7 +62,8 @@ def _checks(sr):
             {
                 "events": _events(e.events),
                 "richardson_gap": e.richardson_gap,
-                **{f: getattr(e, f) for f in GEODESIC_FIELDS},
+                "passes": e.passes,
+                "has_certificate": e.has_certificate,
             }
             for e in verdict.evidence
         ]
@@ -77,11 +88,50 @@ def _raw(sr):
         yield name, {"geodesics": geodesics}
 
 
+def _weak(sr):
+    lower = sr.normalize_to_bound(sr.BergerSphere(0.8), "lower")
+    upper = sr.normalize_to_bound(sr.BergerSphere(1.2), "upper")
+    for name, model, side, count, seed, method in (
+        ("Berger0.8l-witness", lower, "lower", 100, SEED, "witness"),
+        ("Berger0.8l-search", lower, "lower", 10, SEED + 1, "search"),
+        ("Berger1.2u-witness", upper, "upper", 100, SEED, "witness"),
+        ("Berger1.2u-search", upper, "upper", 10, SEED + 1, "search"),
+        ("Berger1.2u-witness128", upper, "upper", 128, SEED, "witness"),
+    ):
+        verdict = sr.check_weak_spherical_rank(
+            model, side, sr.GeodesicSampler(count, seed), method=method
+        )
+        out = {f: getattr(verdict, f) for f in VERDICT_FIELDS + ("worst_case",)}
+        out["geodesics"] = [
+            {
+                "events": [],
+                "passes": e.passes,
+                "excluded_samples": e.excluded_samples,
+                "weak_deviation": e.weak_deviation.hex(),
+            }
+            for e in verdict.evidence
+        ]
+        yield name, out
+
+
+def _samples(sr):
+    for name, model in (
+        ("Berger0.8", sr.BergerSphere(0.8)),
+        ("Berger0.8x1.3", sr.Scaled(sr.BergerSphere(0.8), 1.3)),
+        ("S3", sr.RoundSphere(3)),
+        ("CP2", sr.ComplexProjective(2)),
+    ):
+        P, W = sr.GeodesicSampler(64, SEED).states(model)
+        yield f"states-{name}", {"states": [_hex(P), _hex(W)]}
+
+
 def snapshot(path):
     import sphererank as sr
 
     cases = dict(_checks(sr))
     cases.update(_raw(sr))
+    cases.update(_weak(sr))
+    cases.update(_samples(sr))
     with open(path, "w") as fh:
         json.dump(cases, fh, indent=1)
 
@@ -97,6 +147,11 @@ def compare(before_path, after_path):
     same = True
     for name, old in before.items():
         new = after[name]
+        if "states" in old:
+            equal = old["states"] == new["states"]
+            same = same and equal
+            print(f"{name}: sampler states {'equal' if equal else 'DIFFER'}")
+            continue
         lines = [
             f"{f}: {old.get(f)!r} -> {new.get(f)!r}"
             for f in VERDICT_FIELDS
@@ -121,7 +176,11 @@ def compare(before_path, after_path):
         if dt > EVENT_TIME_RESOLUTION:
             lines.append(f"event times moved by up to {dt:.3g}")
         same = same and not lines
+        weak = [float.fromhex(h["weak_deviation"]) for h in new["geodesics"]
+                if h.get("weak_deviation")]
         print(f"{name}: {events} events, max |dt| {dt:.3g}")
+        if weak:
+            print(f"  largest weak deviation after: {max(weak):.3g}")
         if old.get("worst_case") != new.get("worst_case"):
             print(f"  worst_case {old['worst_case']} -> {new['worst_case']}")
         for side, values in gaps.items():

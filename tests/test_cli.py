@@ -236,7 +236,7 @@ def test_rank_weak_lower_exit(capsys):
     assert report["payload"]["holds"] is True
 
 
-def test_invalid_inputs_exit_2(capsys):
+def test_invalid_inputs_exit_2(capsys, tmp_path):
     code = cli.main(["rank", "--property", "positive-spherical", "--model", "berger"])
     capsys.readouterr()
     assert code == 2
@@ -262,6 +262,24 @@ def test_invalid_inputs_exit_2(capsys):
             err = capsys.readouterr().err
             assert code == 2, (flag, value)
             assert flag[2:].replace("-", "_") in err, (flag, value)
+    # a JSON boolean is not a real number, and a section must be an object;
+    # each error names its key or section
+    cases = [({"model": {"kind": "berger", "eta": True}}, "eta"),
+             ({"integrator": {"step": True}}, "step"),
+             ({"eta_list": [True]}, "eta_list"),
+             ({"model": {"kind": "scaled", "lam": True, "base": {"kind": "round", "dim": 3}}},
+              "lam"),
+             ({"tolerances": {"weak_tol": False}}, "weak_tol")]
+    cases += [({section: 5}, section) for section in ("sampler", "integrator", "tolerances",
+                                                      "output")]
+    path = tmp_path / "manifest.json"
+    for manifest, key in cases:
+        path.write_text(json.dumps(manifest))
+        for argv in (["scan-curvature", "--count", "8"], ["scan-curvature"]):
+            code = cli.main(argv + ["--manifest", str(path)])
+            err = capsys.readouterr().err
+            assert code == 2, manifest
+            assert key in err, (manifest, err)
 
 
 def test_sample_index_outside_the_sampler_exits_2(capsys):

@@ -19,20 +19,21 @@ def _unit(model, v):
 
 
 def test_sampler_deterministic_and_special():
-    m = sr.BergerSphere(0.8)
     s = sr.GeodesicSampler(8, 5)
-    P1, W1 = s.states(m)
-    P2, W2 = s.states(m)
-    assert np.array_equal(P1, P2) and np.array_equal(W1, W2)
-    # forced fiber and horizontal directions at the identity
-    assert np.allclose(P1[0], [1, 0, 0, 0])
-    assert np.allclose(W1[0], [1 / 0.8, 0, 0])
-    assert np.allclose(W1[1], [0, 1, 0])
-    # all velocities unit
-    assert np.max(np.abs(m.inner(W1, W1) - 1.0)) < 1e-12
+    # a scaled model keeps the forced directions, g-unit in its own metric
+    for m, lam in ((sr.BergerSphere(0.8), 1.0), (sr.Scaled(sr.BergerSphere(0.8), 1.3), 1.3)):
+        P1, W1 = s.states(m)
+        P2, W2 = s.states(m)
+        assert np.array_equal(P1, P2) and np.array_equal(W1, W2)
+        # forced fiber and horizontal directions at the identity
+        assert np.array_equal(P1[:2], [[1, 0, 0, 0]] * 2)
+        assert np.allclose(W1[0], [1 / (0.8 * lam), 0, 0])
+        assert np.allclose(W1[1], [0, 1 / lam, 0])
+        # all velocities unit, the forced rows included
+        assert np.max(np.abs(m.inner(W1, W1) - 1.0)) < 1e-12
 
-    uni = sr.GeodesicSampler(8, 5, "uniform").states(m)
-    assert not np.allclose(uni[1][0], W1[0])
+        uni = sr.GeodesicSampler(8, 5, "uniform").states(m)
+        assert not np.allclose(uni[1][0], W1[0])
 
     with pytest.raises(sr.ParameterError):
         sr.GeodesicSampler(0, 1)
@@ -271,6 +272,13 @@ def test_weak_rank_search_still_rejects_berger_half():
 
 # ---------------------------------------------------------------------------
 # Berger report
+
+
+def test_fiber_time_is_the_hopf_fiber_length():
+    # the closure time is the exact maximizer of a cubic, so only the flow's
+    # own error is left
+    for eta in (0.3, 0.5, 0.8, 1.0, 1.2, 2.0):
+        assert abs(sr.measure_fiber_time(eta) - 2 * math.pi * eta) <= 1e-10, eta
 
 
 def test_berger_report_rows():
