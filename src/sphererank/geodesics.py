@@ -238,7 +238,7 @@ def transport_arrays(model, times, X, V, Xm, Vm, w0):
         times,
         nodes=model.transport_coeffs(X, V, m),
         mids=model.transport_coeffs(Xm, Vm, m),
-        project=lambda x, *c: (model.project_tangent(x, c[-1]),),
+        project=lambda *c: (model.transport_project(c[-1], *c[:-1]),),
     )
     return W
 

@@ -100,6 +100,11 @@ def _dot(u, v):
     return np.vecdot(u, v)
 
 
+def _horizontal(u, p, jp):
+    """``u`` minus its components along the unit vectors ``p`` and ``jp = jmul(p)``."""
+    return u - _dot(u, p)[..., None] * p - _dot(u, jp)[..., None] * jp
+
+
 # ---------------------------------------------------------------------------
 # value types
 
@@ -152,11 +157,14 @@ class ManifoldModel:
       state (point, velocity coordinates);
     * ``transport_rhs(w, *c)`` -- the derivative of a parallel field ``w``
       along a geodesic, given one sample's rows ``c`` of
-      ``transport_coeffs`` (by default the point and the velocity).
+      ``transport_coeffs`` (by default the point and the velocity), and
+      ``transport_project(w, *c)`` -- ``project_tangent`` of ``w`` at the
+      point of the same rows.
 
     ``canonical_point``, ``point_distance``, ``project_point``,
-    ``project_state`` and ``transport_coeffs`` have defaults below, and so
-    do the two hooks of a geometry with distinguished directions:
+    ``project_state``, ``transport_coeffs`` and ``transport_project`` have
+    defaults below, and so do the two hooks of a geometry with
+    distinguished directions:
 
     * ``special_directions()`` -- ``{name: (point, tangent components)}``,
       the directions a sampler forces and the CLI selects by name, not
@@ -202,6 +210,11 @@ class ManifoldModel:
         The default is the state itself, (X[..., None, :], V[..., None, :]).
         """
         return X[..., None, :], V[..., None, :]
+
+    def transport_project(self, w, *c):
+        """``project_tangent`` of a transported field ``w`` at the point of the
+        ``transport_coeffs`` rows ``c``, which may carry what it reads."""
+        return self.project_tangent(c[0], w)
 
 
 class _AmbientSphere(ManifoldModel):
@@ -411,11 +424,13 @@ class ComplexProjective(_AmbientSphere):
         return (1.0, 1.0) if self.n == 1 else (0.25, 1.0)
 
     def project_tangent(self, p, u):
-        jp = jmul(p)
-        return u - _dot(u, p)[..., None] * p - _dot(u, jp)[..., None] * jp
+        return _horizontal(u, p, jmul(p))
 
     def transport_rhs(self, w, x, v, jx, jv):
         return super().transport_rhs(w, x, v) - _dot(w, jv)[..., None] * jx
+
+    def transport_project(self, w, x, v, jx, jv):
+        return _horizontal(w, x, jx)
 
     def transport_coeffs(self, X, V, m):
         x, v = X[..., None, :], V[..., None, :]
@@ -511,6 +526,9 @@ class Scaled(ManifoldModel):
 
     def transport_coeffs(self, X, V, m):
         return self.base.transport_coeffs(X, V, m)
+
+    def transport_project(self, w, *c):
+        return self.base.transport_project(w, *c)
 
     def canonical_point(self, p):
         return self.base.canonical_point(p)

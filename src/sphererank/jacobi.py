@@ -8,7 +8,11 @@ conjugate times are the singular times of ``M`` and multiplicities are its
 rank defects.  The Maslov index of the Lagrangian frame (M, M') counts them
 exactly (``JacobiPropagator.morse_count``); ``detect_events`` bisects on that
 count down to one grid cell, where the conjugate times are the real roots of
-det M for the cubic Hermite interpolant of (M, M').
+det M for the cubic Hermite interpolant of (M, M').  A propagator may hold a
+whole bundle of geodesics on one time grid, and detection then runs on the
+bundle at once: the bisection rounds, the Theta nodes of the count and the
+confirming SVDs are each one stacked computation for every geodesic.  A
+single propagator is a batch of one.
 """
 
 from __future__ import annotations
@@ -37,7 +41,9 @@ class CurvatureProfile:
     """Sampled frame components of the Jacobi operator R(., v)v along a geodesic.
 
     In the views of a rank bundle that kept only K, ``trajectory`` is None
-    and ``frame`` is empty: what needs either raises ``DomainError``.
+    and ``frame`` is empty: what needs either raises ``DomainError``.  The
+    profile of a batched propagator holds the bundle's K, (T, B, k, k), and
+    one symmetry defect per geodesic.
     """
 
     trajectory: Trajectory | None
@@ -155,7 +161,14 @@ def solve_jacobi_arrays(times, K, Kmid, Y0, Yp0):
 
 @dataclass(eq=False)
 class JacobiPropagator:
-    """Fundamental solution M(t), M'(t) with M(0) = 0 and M'(0) = identity."""
+    """Fundamental solution M(t), M'(t) with M(0) = 0 and M'(0) = identity.
+
+    ``M`` and ``Mp`` have shape (T, k, k) for one geodesic, or (T, B, k, k)
+    for a bundle of B geodesics on one time grid, whose profile's K is then
+    (T, B, k, k) too.  On a batched propagator ``evaluate`` and
+    ``morse_count`` take one time per geodesic on the last axis, shape
+    (..., B); a scalar is the same time for every geodesic.
+    """
 
     profile: CurvatureProfile
     times: np.ndarray
@@ -175,14 +188,29 @@ class JacobiPropagator:
             self._sigma = np.linalg.svd(self.M, compute_uv=False)[..., -1]
         return self._sigma
 
+    def _per_geodesic(self, t):
+        """``t`` as an array, and the index arrays of the geodesics its times
+        belong to: none on a single propagator, its last axis on a batched one."""
+        t = np.asarray(t, dtype=float)
+        if self.M.ndim == 3:
+            return t, ()
+        t, g = np.broadcast_arrays(t, np.arange(self.M.shape[1]))
+        return t, (g,)
+
     def evaluate(self, t):
         """Cubic Hermite interpolation of (M, M') between samples.
 
         ``t`` is a time or an array of times; the result has the shape of
-        ``t`` followed by (k, k).
+        ``t`` (broadcast against the bundle axis on a batched propagator)
+        followed by (k, k).
         """
+        return self._interpolate(*self._per_geodesic(t))
+
+    def _interpolate(self, t, g):
+        """(M, M') at the times ``t`` of the geodesics ``g`` (index arrays
+        shaped like ``t``, an empty tuple on a single propagator)."""
         i, s, h = _locate(self.times, t, "propagator")
-        ends = np.array([i, i + 1])
+        ends = (np.array([i, i + 1]),) + g
         M, Mp = self.M[ends], self.Mp[ends]
         Mpp = -self.profile.K[ends] @ M  # the Jacobi equation
         if np.ndim(t):  # a scalar s broadcasts as it is, at a third of the cost of a (1, 1) s
@@ -198,32 +226,43 @@ class JacobiPropagator:
         Theta = 2 arg det Z, so the count is (Theta - sum phi_j) / 2pi with
         phi_j in [0, 2pi).  Theta is unwrapped from Theta(0) = 0 on nodes
         where it changes by less than pi/2 from one to the next, and off the
-        nodes it is the next node's plus that change.
+        nodes it is the next node's plus that change.  A scalar ``t`` on a
+        single propagator gives an int; otherwise the counts have the
+        (broadcast) shape of ``t``, all read with one stacked solve and one
+        stacked eigvals.
         """
-        t = float(t)
-        if t <= self.times[0]:
-            return 0  # M(0) = 0 is the initial condition, not a conjugate point
-        if self._theta is None:
-            self._theta = self._theta_nodes()
-        nodes, theta = self._theta
-        M, Mp = self.evaluate(t)
-        Z = Mp + 1j * M
-        # conj(Z)^-1 Z is similar to W and has its eigenvalues
-        phi = np.angle(np.linalg.eigvals(np.linalg.solve(Z.conj(), Z))) % (2.0 * math.pi)
-        theta = theta[min(np.searchsorted(nodes, t), len(nodes) - 1)]
-        return int(round((theta - phi.sum()) / (2.0 * math.pi)))
+        t, g = self._per_geodesic(t)
+        count = np.zeros(t.shape, dtype=int)
+        # M(0) = 0 is the initial condition, not a conjugate point
+        live = t > self.times[0]
+        if live.any():
+            if self._theta is None:
+                self._theta = self._theta_nodes()
+            nodes, theta = self._theta
+            t, g = t[live], tuple(x[live] for x in g)
+            M, Mp = self._interpolate(t, g)
+            Z = Mp + 1j * M
+            # conj(Z)^-1 Z is similar to W and has its eigenvalues
+            phi = np.angle(np.linalg.eigvals(np.linalg.solve(Z.conj(), Z))) % (2.0 * math.pi)
+            theta = theta[(np.minimum(np.searchsorted(nodes, t), len(nodes) - 1),) + g]
+            count[live] = np.rint((theta - phi.sum(axis=-1)) / (2.0 * math.pi))
+        return count if count.ndim else int(count)
 
     def _theta_nodes(self):
-        """Nodes and unwrapped Theta for ``morse_count``.
+        """Nodes and unwrapped Theta for ``morse_count``, one node set for the bundle.
 
         |dTheta/dt| is at most 2k max(1, |K|), so Theta is read on evenly
-        spaced nodes whose spacing times that bound stays below pi/2.
+        spaced nodes whose spacing times that bound, the largest of the
+        bundle, stays below pi/2.  Finer nodes give the same integer counts,
+        so a geodesic counts the same alone or in any bundle.
         """
         t0, t1 = self.times[0], self.times[-1]
-        rate = 2.0 * self.order * max(1.0, np.linalg.norm(self.profile.K, axis=(-2, -1)).max())
+        # max |K| from the squared Frobenius norms: no temporaries of the bundle's size
+        K = self.profile.K.reshape(self.profile.K.shape[:-2] + (-1,))
+        rate = 2.0 * self.order * max(1.0, math.sqrt(np.vecdot(K, K).max()))
         nodes = np.linspace(t0, t1, int((t1 - t0) * rate / (0.5 * math.pi)) + 2)
-        M, Mp = self.evaluate(nodes)
-        return nodes, np.unwrap(2.0 * np.angle(np.linalg.det(Mp + 1j * M)))
+        M, Mp = self.evaluate(nodes.reshape(nodes.shape + (1,) * (self.M.ndim - 3)))
+        return nodes, np.unwrap(2.0 * np.angle(np.linalg.det(Mp + 1j * M)), axis=0)
 
     def lagrangian_defect(self):
         """Max deviation of M^T M' - M'^T M from zero over all samples."""
@@ -256,22 +295,23 @@ class ConjugateEvent:
             raise ParameterError("conjugate events need time > 0 and multiplicity >= 1")
 
 
-def _singular_times(propagator, a, b):
+def _singular_times(times, M, Mp, a, b):
     """Zeros of det M in ``(a, b]`` for the interpolant of ``evaluate``, sorted.
 
-    On the grid cell [t_i, t_i + h] the cubic Hermite interpolant is
+    ``M`` and ``Mp`` are one geodesic's samples on ``times``.  On the grid
+    cell [t_i, t_i + h] the cubic Hermite interpolant is
     M(t_i + s h) = C0 + C1 s + C2 s^2 + C3 s^3, and det M(t_i + s h) = 0
     exactly at the eigenvalues s of the companion pencil
     [[0, I, 0], [0, 0, I], [-C0, -C1, -C2]] - s diag(I, I, C3); an m-fold
     zero of M is an m-fold eigenvalue.  The finite ones that are real to
     ``EVENT_TIME_RESOLUTION`` in time count.
     """
-    times, k = propagator.times, propagator.order
+    k = M.shape[-1]
     roots = []
     for i in range(max(np.searchsorted(times, a, side="right") - 1, 0), np.searchsorted(times, b)):
         h = times[i + 1] - times[i]
-        M0, M1 = propagator.M[i], propagator.M[i + 1]
-        D0, D1 = h * propagator.Mp[i], h * propagator.Mp[i + 1]
+        M0, M1 = M[i], M[i + 1]
+        D0, D1 = h * Mp[i], h * Mp[i + 1]
         A, B = np.eye(3 * k, k=k), np.eye(3 * k)
         A[2 * k :] = -np.hstack([M0, D0, 3.0 * (M1 - M0) - 2.0 * D0 - D1])
         B[2 * k :, 2 * k :] = 2.0 * (M0 - M1) + D0 + D1
@@ -282,20 +322,59 @@ def _singular_times(propagator, a, b):
     return np.sort(roots)
 
 
+def _brackets(times, count, n, t0, t1):
+    """Per geodesic, the merged brackets (a, b, count jump) of the bisection.
+
+    Every one of the ``n`` geodesics runs its own depth-first bisection,
+    left half first, so its brackets come out in time order; the geodesics
+    advance in lockstep, each round reading one midpoint per geodesic with
+    one call ``count(t)``, t of shape (n,) (a geodesic with nothing left to
+    split asks at ``times[0]``, where the count is 0 at no cost).
+    """
+    starts, ends = count(np.full(n, t0)), count(np.full(n, t1))
+    stacks = [[(t0, int(ca), t1, int(cb))] for ca, cb in zip(starts, ends)]
+    brackets = [[] for _ in range(n)]
+    while True:
+        query, split = np.full(n, times[0]), {}
+        for g, stack in enumerate(stacks):
+            while stack:
+                a, ca, b, cb = stack.pop()
+                if ca == cb:
+                    continue
+                if np.searchsorted(times, a, side="right") < np.searchsorted(times, b, side="left"):
+                    query[g] = m = 0.5 * (a + b)
+                    split[g] = (a, ca, m, b, cb)
+                    break
+                out = brackets[g]
+                if out and out[-1][1] == a:
+                    out[-1] = (out[-1][0], b, out[-1][2] + cb - ca)
+                else:
+                    out.append((a, b, cb - ca))
+        if not split:
+            return brackets
+        counts = count(query)
+        for g, (a, ca, m, b, cb) in split.items():
+            stacks[g] += [(m, int(counts[g]), b, cb), (a, ca, m, int(counts[g]))]
+
+
 def detect_events(propagator, window, rank_tol=DEFAULT_RANK_TOL):
     """Conjugate events in ``(t0, t1]``: the zeros of det M, found exactly.
 
-    The Morse count is nondecreasing, so equal counts at the two ends of an
-    interval prove it holds no conjugate time.  The window is halved while
-    the end counts differ and a grid node lies strictly inside; brackets
-    sharing an end are one bracket.  In each bracket the conjugate times are
-    the real roots of det M on the cubic Hermite interpolant
+    Detection runs on a whole bundle at once: on a batched propagator it
+    returns one list of events per geodesic, and a single propagator is a
+    batch of one that returns its flat list.  The Morse count is
+    nondecreasing, so equal counts at the two ends of an interval prove it
+    holds no conjugate time.  The window is halved while the end counts
+    differ and a grid node lies strictly inside; brackets sharing an end are
+    one bracket.  The bisection rounds read the counts of all geodesics
+    together (``_brackets``).  In each bracket the conjugate times are the
+    real roots of det M on the cubic Hermite interpolant
     (``_singular_times``); roots closer than ``EVENT_TIME_RESOLUTION`` are one
     event at their mean, with their number as the multiplicity.  The roots of
     a bracket must number its count jump, or ``DomainError`` is raised.
     ``rank_tol`` is the confirming test: an event is kept only if M has a
     singular value below ``rank_tol`` times the operator norm of M' at the
-    event time.
+    event time, read for every event of the bundle with one stacked SVD.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not t1 > t0:
@@ -306,39 +385,39 @@ def detect_events(propagator, window, rank_tol=DEFAULT_RANK_TOL):
     if t0 < times[0] - 1e-9 or t1 > times[-1] + 1e-9:
         raise ParameterError("window must lie inside the propagator domain")
     t1 = min(t1, float(times[-1]))  # the interpolant ends at the last sample
-    count = propagator.morse_count
-    brackets, stack = [], [(t0, count(t0), t1, count(t1))]
-    while stack:  # depth first, left half first: brackets come out in time order
-        a, ca, b, cb = stack.pop()
-        if ca == cb:
-            continue
-        if np.searchsorted(times, a, side="right") < np.searchsorted(times, b, side="left"):
-            m = 0.5 * (a + b)
-            cm = count(m)
-            stack += [(m, cm, b, cb), (a, ca, m, cm)]
-        elif brackets and brackets[-1][1] == a:
-            brackets[-1] = (brackets[-1][0], b, brackets[-1][2] + cb - ca)
-        else:
-            brackets.append((a, b, cb - ca))
-    events = []
-    for a, b, jump in brackets:
-        roots = _singular_times(propagator, a, b)
-        if len(roots) != jump:
-            raise DomainError(f"{len(roots)} zeros of det M in ({a!r}, {b!r}], count jump {jump}")
-        for group in np.split(roots, np.flatnonzero(np.diff(roots) >= EVENT_TIME_RESOLUTION) + 1):
-            t_star = float(np.mean(group))
-            M, Mp = propagator.evaluate(t_star)
-            sigma = np.linalg.svd(M, compute_uv=False)[-1]
-            if sigma < rank_tol * max(np.linalg.norm(Mp, 2), 1e-300):
-                events.append(ConjugateEvent(t_star, len(group)))
-    return events
+    batched = propagator.M.ndim == 4
+    M, Mp = propagator.M, propagator.Mp
+    if not batched:
+        M, Mp = M[:, None], Mp[:, None]
+    n = M.shape[1]
+
+    def count(t):  # one time per geodesic; a single propagator takes a scalar
+        return np.reshape(propagator.morse_count(t if batched else float(t[0])), n)
+
+    found = []  # (geodesic, time, multiplicity)
+    for g, brackets in enumerate(_brackets(times, count, n, t0, t1)):
+        for a, b, jump in brackets:
+            roots = _singular_times(times, M[:, g], Mp[:, g], a, b)
+            if len(roots) != jump:
+                raise DomainError(f"{len(roots)} zeros of det M in ({a!r}, {b!r}], count jump {jump}")
+            for group in np.split(roots, np.flatnonzero(np.diff(roots) >= EVENT_TIME_RESOLUTION) + 1):
+                found.append((g, float(np.mean(group)), len(group)))
+    events = [[] for _ in range(n)]
+    if found:
+        g, t, multiplicity = (np.array(c) for c in zip(*found))
+        Mt, Mpt = propagator._interpolate(t, (g,) if batched else ())
+        sigma = np.linalg.svd(Mt, compute_uv=False)[..., -1]
+        norm = np.linalg.norm(Mpt, 2, axis=(-2, -1))
+        for i in np.flatnonzero(sigma < rank_tol * np.maximum(norm, 1e-300)):
+            events[g[i]].append(ConjugateEvent(float(t[i]), int(multiplicity[i])))
+    return events if batched else events[0]
 
 
 conjugate_points = detect_events
 
 
 def fixed_endpoint_index(propagator, L):
-    """Morse index of the fixed-endpoint problem on [0, L].
+    """Morse index of the fixed-endpoint problem on [0, L] for a single propagator.
 
     The Morse count at ``L - 1e-6``; if the count at ``L + 1e-6`` differs,
     ``L`` is within 1e-6 of a conjugate time and ``AmbiguousEndpointError``

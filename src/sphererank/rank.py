@@ -229,6 +229,12 @@ def _views(model, bundle, sols, b):
     return profile, prop
 
 
+def _bundle_propagator(bundle, sols):
+    """One batched propagator for the whole bundle, on a profile that kept only K."""
+    profile = CurvatureProfile(None, [], bundle["K"], bundle["defect"])
+    return JacobiPropagator(profile, bundle["times"], sols["M"], sols["Mp"])
+
+
 # ---------------------------------------------------------------------------
 # positive spherical rank
 
@@ -273,13 +279,11 @@ def check_positive_spherical_rank(
         sampled_sec_max = max(
             sampled_sec_max, float(np.max(np.linalg.eigvalsh(bundle["K"][::4])))
         )
-        out = []
-        for i in range(b - a):
-            profile, prop = _views(model, bundle, sols, i)
-            events = detect_events(prop, (0.0, window_end), rank_tol=rank_tol)
-            cert = spherical_witness(profile.K, DEFAULT_CERT_TOL) if with_cert else None
-            out.append((events, cert))
-        return out
+        events = detect_events(_bundle_propagator(bundle, sols), (0.0, window_end),
+                               rank_tol=rank_tol)
+        certs = [spherical_witness(bundle["K"][:, i], DEFAULT_CERT_TOL) if with_cert else None
+                 for i in range(b - a)]
+        return list(zip(events, certs))
 
     primary = _by_chunk(len(P), chunk, lambda a, b: chunk_events(a, b, step, True))
     gaps = {}
