@@ -23,6 +23,9 @@ from .geometry import ManifoldModel, Point, Tangent, make_point
 
 DEFAULT_STEP = 1e-3
 UNIT_SPEED_TOL = 1e-8
+# per block: intervals of the flow midpoints, samples of the curvature profile,
+# components of its midpoints
+PROFILE_BLOCK = 64
 
 
 def time_grid(horizon, step):
@@ -127,10 +130,19 @@ def hermite_midpoints(model, times, X, V):
     """4th-order-accurate states at interval midpoints from node data.
 
     Uses the cubic Hermite interpolant with the exact state derivatives,
-    then re-projects onto the constraint set.
+    then re-projects onto the constraint set.  These are the midpoint states
+    of every frame transport: along a single trajectory, a rank bundle, and
+    between off-grid endpoints.  The intervals are taken ``PROFILE_BLOCK`` at
+    a time, each block reading its one node past the last interval, so the
+    temporaries do not grow with the grid; every operation is per sample, so
+    the blocks change no bit.
     """
     h = np.diff(times).reshape((-1,) + (1,) * (X.ndim - 1))
-    return _hermite_states(model, 0.5, h, X, V)
+    Xm, Vm = np.empty_like(X[1:]), np.empty_like(V[1:])
+    for a in range(0, len(h), PROFILE_BLOCK):
+        b = a + PROFILE_BLOCK
+        Xm[a:b], Vm[a:b] = _hermite_states(model, 0.5, h[a:b], X[a : b + 1], V[a : b + 1])
+    return Xm, Vm
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +172,6 @@ class Trajectory:
     velocities: np.ndarray
     step: float
 
-    def __post_init__(self):
-        self._mid = None
-
     @property
     def horizon(self):
         return float(self.times[-1])
@@ -178,11 +187,6 @@ class Trajectory:
     @property
     def unit_speed(self):
         return bool(np.max(np.abs(self.speeds() - 1.0)) < UNIT_SPEED_TOL)
-
-    def midpoint_states(self):
-        if self._mid is None:
-            self._mid = hermite_midpoints(self.model, self.times, self.points, self.velocities)
-        return self._mid
 
     def state_at(self, t):
         """Hermite-interpolated state at time ``t``, projected to the model."""
@@ -332,13 +336,8 @@ def normal_frame(trajectory):
     """The dim-1 parallel normal fields along a unit-speed trajectory."""
     if not trajectory.unit_speed:
         raise DomainError("normal_frame requires a unit-speed trajectory")
-    Xm, Vm = trajectory.midpoint_states()
-    E = frame_arrays(
-        trajectory.model,
-        trajectory.times,
-        trajectory.points,
-        trajectory.velocities,
-        Xm,
-        Vm,
+    model, times, X, V = (
+        trajectory.model, trajectory.times, trajectory.points, trajectory.velocities
     )
+    E = frame_arrays(model, times, X, V, *hermite_midpoints(model, times, X, V))
     return [ParallelField(trajectory, E[:, a, :]) for a in range(E.shape[1])]

@@ -24,12 +24,11 @@ import numpy as np
 from scipy import linalg
 
 from .errors import AmbiguousEndpointError, DomainError, ParameterError
-from .geodesics import ParallelField, Trajectory, _hermite, _locate, _rk4
+from .geodesics import PROFILE_BLOCK, ParallelField, Trajectory, _hermite, _locate, _rk4
 from .geometry import pair_inner
 
 EVENT_TIME_RESOLUTION = 1e-8
 DEFAULT_RANK_TOL = 1e-7
-PROFILE_BLOCK = 64  # per block: samples of the curvature profile, components of its midpoints
 
 
 # ---------------------------------------------------------------------------
@@ -147,16 +146,11 @@ def interval_midpoints(times, Y):
 def solve_jacobi_arrays(times, K, Kmid, Y0, Yp0):
     """RK4 for ``Y'' + K(t) Y = 0`` with per-interval midpoint curvature data.
 
-    ``Y0``/``Yp0`` may be matrices (..., k, m) or vectors (..., k); returns
-    arrays with the time axis prepended.
+    ``Y0``/``Yp0`` are matrices (..., k, m), one column per solution (a
+    single solution is one column); returns arrays with the time axis
+    prepended.
     """
-    vector = Y0.ndim == K.ndim - 2
-    if vector:
-        Y0, Yp0 = Y0[..., None], Yp0[..., None]
-    Ys, Yps = _rk4(lambda k, y, yp: (yp, -k @ y), (Y0, Yp0), times, (K,), (Kmid,))
-    if vector:
-        return Ys[..., 0], Yps[..., 0]
-    return Ys, Yps
+    return _rk4(lambda k, y, yp: (yp, -k @ y), (Y0, Yp0), times, (K,), (Kmid,))
 
 
 @dataclass(eq=False)
@@ -526,9 +520,9 @@ def verify_sturm_bound(profile, x0, horizon, tol=1e-7, xp0=None):
         if abs(float(np.dot(yp0, y0))) > 1e-10:
             raise ParameterError("X'(0) must be orthogonal to X(0)")
 
-    Y, _ = solve_jacobi_arrays(times, profile.K, profile.midpoints(), y0, yp0)
+    Y, _ = solve_jacobi_arrays(times, profile.K, profile.midpoints(), y0[:, None], yp0[:, None])
     mask = times <= horizon + 1e-12
     ts = times[mask]
-    norms = np.linalg.norm(Y[mask], axis=-1)
+    norms = np.linalg.norm(Y[mask, :, 0], axis=-1)
     margin = float(np.min(norms - np.cos(ts)))
     return SturmResult(holds=bool(margin >= -tol), margin=margin, times=ts, norms=norms)

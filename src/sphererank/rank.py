@@ -29,7 +29,7 @@ from .geodesics import (
     flow_arrays,
     frame_arrays,
     geodesic_flow,
-    hermite_midpoints,  # noqa: F401 - perfbench/tracer.py wraps rank.hermite_midpoints
+    hermite_midpoints,
     time_grid,
 )
 from .geometry import (
@@ -45,6 +45,7 @@ from .geometry import (
     uniform_dims,
 )
 from .jacobi import (
+    DEFAULT_RANK_TOL,
     CurvatureProfile,
     JacobiPropagator,
     detect_events,
@@ -171,26 +172,19 @@ def _by_chunk(n, size, analyze):
 
 
 def _bundle(model, P, W, horizon, step, frame=True):
-    """Integrate a geodesic bundle at ``step`` and analyze it on a 2x-coarser grid.
+    """Integrate and analyze a geodesic bundle on the grid ``time_grid(horizon, 2 * step)``.
 
-    The analysis grid is ``time_grid(horizon, 2 * step)`` (one interval when
-    the horizon is shorter); frames, curvature profiles, and Jacobi
-    propagation run on it (all schemes stay 4th order, so the coarser grid
-    changes results at the 1e-11 level while halving the work).  The flow is
-    integrated on that grid together with the exact midpoint of every
-    interval, the ragged last one included, so the midpoint states that
-    frame transport reads are flow samples.  With ``frame=False`` the states
-    and the frame are dropped once K exists (the positive check reads only K).
+    (One interval when the horizon is shorter.)  The flow, the frame, the
+    curvature profile and the Jacobi propagation all run on that one grid,
+    and the frame reads its midpoint states from ``hermite_midpoints``: the
+    scheme of a single geodesic, so each row of a bundle at ``step`` is bit
+    for bit the geodesic of ``geodesic_flow`` at ``2 * step``.  With
+    ``frame=False`` the states and the frame are dropped once K exists (the
+    positive check reads only K).
     """
     times = time_grid(horizon, min(2 * step, horizon))
-    fine = np.empty(2 * len(times) - 1)
-    fine[::2], fine[1::2] = times, 0.5 * (times[:-1] + times[1:])
-    X, V = flow_arrays(model, P, W, fine)
-    # copies, so the fine flow is freed before transport
-    Xm, Vm = X[1::2].copy(), V[1::2].copy()
-    X, V = X[::2].copy(), V[::2].copy()
-    E = frame_arrays(model, times, X, V, Xm, Vm)
-    del Xm, Vm
+    X, V = flow_arrays(model, P, W, times)
+    E = frame_arrays(model, times, X, V, *hermite_midpoints(model, times, X, V))
     K, defect = profile_arrays(model, V, E)
     bundle = {"times": times, "K": K, "defect": defect, "step": 2 * step}
     if frame:
@@ -248,7 +242,7 @@ def check_positive_spherical_rank(
     step=DEFAULT_STEP,
     event_window=None,
     richardson=False,
-    rank_tol=1e-7,
+    rank_tol=DEFAULT_RANK_TOL,
     chunk=DEFAULT_CHUNK,
 ):
     """Decide whether every sampled geodesic is conjugate exactly at pi.
@@ -435,18 +429,16 @@ def check_weak_spherical_rank(
     prop_name = WEAK_UPPER if side == "upper" else WEAK_LOWER
 
     P, W = sampler.states(model)
-    uses_search = method == "search"
-    want_second = uses_search or method == "auto"
 
     def chunk_evidence(a, b):
         bundle = _bundle(model, P[a:b], W[a:b], math.pi, step)
-        sols = _propagate_bundle(bundle, with_second=want_second)
         times, K, E, V = bundle["times"], bundle["K"], bundle["E"], bundle["V"]
+        sols = None  # propagated for the first geodesic that needs the search
         out = []
         for i in range(b - a):
             idx = a + i
             dev, excluded = math.inf, 0
-            if not uses_search:
+            if method != "search":
                 if has_killing:
                     y = model.inner(_killing_field(model, V[:, i])[:, None, :], E[:, i])
                     dev, excluded = _field_deviation(times, K[:, i], y, tol)
@@ -459,6 +451,8 @@ def check_weak_spherical_rank(
                         y = np.sin(times)[:, None] * hit[0]
                         dev, excluded = _field_deviation(times, K[:, i], y, tol)
             if dev > tol and method != "witness":
+                if sols is None:
+                    sols = _propagate_bundle(bundle, with_second=True)
                 dev_s, excluded_s, _ = weak_field_search(
                     times, K[:, i], sols["M"][:, i], sols["N"][:, i], tol
                 )

@@ -5,6 +5,7 @@ import pytest
 
 import closed_forms as cf
 import sphererank as sr
+from sphererank import geodesics as geodesics_mod
 from sphererank.geodesics import (
     _rk4,
     flow_arrays,
@@ -305,3 +306,16 @@ def test_transport_coeffs_are_bitwise_the_old_formulas(model):
         project=lambda x, v, w: (model.project_tangent(x, w),),
     )
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "model", [sr.BergerSphere(0.5), sr.ComplexProjective(2)], ids=["berger0.5", "cp2"]
+)
+def test_hermite_midpoints_are_the_same_bits_in_blocks(model, monkeypatch):
+    P, W = sr.GeodesicSampler(5, 11).states(model)
+    times = time_grid(0.5 + 0.3e-2, 1e-2)  # 50 full intervals and a ragged one
+    X, V = flow_arrays(model, P, W, times)
+    whole = hermite_midpoints(model, times, X, V)
+    monkeypatch.setattr(geodesics_mod, "PROFILE_BLOCK", 3)
+    for got, want in zip(hermite_midpoints(model, times, X, V), whole):
+        assert np.array_equal(got, want)

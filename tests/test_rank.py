@@ -380,3 +380,62 @@ def test_chunk_size_is_bitwise_invisible_with_richardson(model, window):
     small = run(3)
     assert _verdict_digest(small) == _verdict_digest(run(rank_mod.DEFAULT_CHUNK))
     assert all(len(e.events) >= 1 for e in small.evidence)
+
+
+# ---------------------------------------------------------------------------
+# one scheme for a geodesic alone and in a bundle
+
+
+@pytest.mark.parametrize(
+    "model",
+    [sr.RoundSphere(4), sr.ComplexProjective(2),
+     sr.normalize_to_bound(sr.BergerSphere(1.2), "upper"), sr.Scaled(sr.BergerSphere(0.5), 1.3)],
+    ids=["round4", "cp2", "berger1.2-upper", "berger0.5-scaled"],
+)
+def test_a_geodesic_alone_at_2h_is_its_bundle_row_at_h(model):
+    horizon, window = 3.3, (0.0, 3.3)
+    P, W = sr.GeodesicSampler(4, 20240809).states(model)
+    bundle = rank_mod._bundle(model, P, W, horizon, 1e-3)
+    sols = rank_mod._propagate_bundle(bundle)
+    events = rank_mod.detect_events(rank_mod._bundle_propagator(bundle, sols), window)
+    assert any(events)  # the comparison covers conjugate points
+    for b in range(len(P)):
+        p = sr.Point(P[b])
+        traj = sr.geodesic_flow(model, sr.GeodesicState(p, sr.Tangent(p, W[b])), horizon, 2e-3)
+        frame = sr.normal_frame(traj)
+        profile = sr.curvature_profile(traj, frame)
+        prop = sr.jacobi_propagate(profile)
+        assert np.array_equal(traj.times, bundle["times"])
+        assert np.array_equal(traj.points, bundle["X"][:, b])
+        assert np.array_equal(profile.frame_components(), bundle["E"][:, b])
+        assert np.array_equal(profile.K, bundle["K"][:, b])
+        assert np.array_equal(prop.M, sols["M"][:, b])
+        alone = sr.conjugate_points(prop, window)
+        assert [(e.time, e.multiplicity) for e in alone] == [
+            (e.time, e.multiplicity) for e in events[b]
+        ]
+
+
+@pytest.mark.parametrize(
+    "model, side, method",
+    [(sr.normalize_to_bound(sr.BergerSphere(1.2), "upper"), "upper", "witness"),
+     (sr.normalize_to_bound(sr.BergerSphere(0.8), "lower"), "lower", "auto")],
+    ids=["berger1.2-upper-witness", "berger0.8-lower-auto"],
+)
+def test_weak_check_propagates_only_for_the_search(monkeypatch, model, side, method):
+    calls = []
+    real = rank_mod._propagate_bundle
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rank_mod, "_propagate_bundle", spy)
+    sampler = sr.GeodesicSampler(6, 3)
+    for _ in range(2):
+        verdict = sr.check_weak_spherical_rank(model, side, sampler, method=method, chunk=4)
+        assert verdict.holds and all(e.passes for e in verdict.evidence)
+    assert calls == []
+    # the search propagates once per chunk, with the second fundamental solution
+    sr.check_weak_spherical_rank(model, side, sampler, method="search", chunk=4)
+    assert calls == [{"with_second": True}] * 2
