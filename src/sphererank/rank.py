@@ -25,7 +25,6 @@ from .geodesics import (
     GeodesicState,
     ParallelField,
     Trajectory,
-    _hermite,
     flow_arrays,
     frame_arrays,
     geodesic_flow,
@@ -516,31 +515,30 @@ class BergerReportRow:
 def measure_fiber_time(eta, step=DEFAULT_STEP):
     """Arc length at which the integrated Hopf-fiber geodesic first closes up.
 
-    On unit quaternions |q - q0|^2 = 2 - 2 <q, q0>, so the closure time is
-    the maximizer of the cubic Hermite interpolant of f = <q, q0>, with the
-    exact node slopes of ``state_rhs``: a quadratic root in each of the two
-    grid cells around the best node, whichever interpolates higher.
+    With u0 the initial ambient velocity, f = <q, u0> is sin(t / eta) / eta
+    along the fiber, so the closure time is the upward zero of f after half a
+    period: the root, by Newton's method from the secant root, of the cubic
+    Hermite interpolant of f (node slopes from ``state_rhs``) in the grid cell
+    where f changes sign.  Only the flow's own error is left.
     """
     model = BergerSphere(eta)
     q0, w = model.special_directions()["fiber"]
     p0, period = Point(q0), 2.0 * math.pi * eta
     initial = GeodesicState(p0, Tangent(p0, w / math.sqrt(float(model.inner(w, w)))))
     traj = geodesic_flow(model, initial, 1.25 * period, step)
-    f = traj.points @ q0
-    window = np.nonzero((traj.times > 0.5 * period) & (traj.times < 1.25 * period))[0]
-    j = window[np.argmax(f[window])]
-    t, f, X, V = (a[j - 1 : j + 2] for a in (traj.times, f, traj.points, traj.velocities))
-    d = model.state_rhs(X, V)[0] @ q0
-    h = np.diff(t)
-    # the interpolant's derivative in the cell fraction s is a s^2 + b s + c;
-    # its falling root, in the form free of cancellation
-    fall = f[:-1] - f[1:]
-    a = 6.0 * fall + 3.0 * h * (d[:-1] + d[1:])
-    b = -6.0 * fall - 2.0 * h * (2.0 * d[:-1] + d[1:])
-    c = h * d[:-1]
-    s = np.clip(2.0 * c / (np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0)) - b), 0.0, 1.0)
-    k = np.argmax(_hermite(s, h, f, d))
-    return float(t[k] + s[k] * h[k])
+    X, V = traj.points, traj.velocities
+    u0 = model.state_rhs(X[0], V[0])[0]
+    f = X @ u0
+    j = np.argmax((traj.times[:-1] > 0.5 * period) & (f[:-1] <= 0.0) & (f[1:] > 0.0))
+    t, h = traj.times[j], traj.times[j + 1] - traj.times[j]
+    f0, f1 = f[j : j + 2]
+    d0, d1 = h * (model.state_rhs(X[j : j + 2], V[j : j + 2])[0] @ u0)
+    # the interpolant in powers of the cell fraction s
+    cubic = np.polynomial.Polynomial([f0, d0, 3 * (f1 - f0) - 2 * d0 - d1, 2 * (f0 - f1) + d0 + d1])
+    s = f0 / (f0 - f1)
+    for _ in range(3):
+        s -= cubic(s) / cubic.deriv()(s)
+    return float(t + s * h)
 
 
 def berger_report(etas, sampler, *, step=DEFAULT_STEP, scan_samples=10000):

@@ -118,7 +118,7 @@ def test_interval_midpoints_are_the_same_bits_in_blocks(monkeypatch):
 
 # step 0.01: 0, 0.3 and 1.7 steps past a node of the 0.02 grid, and 1.5 steps
 @pytest.mark.parametrize("horizon", [0.4, 0.403, 0.417, 0.015])
-def test_bundle_analyzes_on_the_2x_grid_with_a_flow_midpoint_everywhere(horizon):
+def test_bundle_analyzes_on_the_2x_grid_with_curvature_midpoints(horizon):
     step = 0.01
     m = sr.RoundSphere(2)
     P, W = sr.GeodesicSampler(2, 5).states(m)

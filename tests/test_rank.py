@@ -275,8 +275,8 @@ def test_weak_rank_search_still_rejects_berger_half():
 
 
 def test_fiber_time_is_the_hopf_fiber_length():
-    # the closure time is the exact maximizer of a cubic, so only the flow's
-    # own error is left
+    # the closure time is the root of the Hermite cubic of <q, u0> at its
+    # upward zero, so only the flow's own error is left
     for eta in (0.3, 0.5, 0.8, 1.0, 1.2, 2.0):
         assert abs(sr.measure_fiber_time(eta) - 2 * math.pi * eta) <= 1e-10, eta
 
@@ -364,8 +364,9 @@ def _verdict_digest(verdict):
 
 @pytest.mark.parametrize(
     "model, window",
-    # horizons pi + 0.05 + 1e-6 and 4.2505: the fine grid's last step is short,
-    # and the coarse grid's last interval is two steps and one step long
+    # horizons pi + 0.05 + 1e-6 and 4.2505: the analysis grids of the step and
+    # of its Richardson half (spacings 2e-3 and 1e-3) both end in a short
+    # interval, 1.6e-3 and 5.9e-4 long here and 5e-4 on both there
     [(sr.RoundSphere(4), None), (sr.Scaled(sr.ComplexProjective(2), 1.3), 4.2005)],
     ids=["round4", "cp2-scaled"],
 )
