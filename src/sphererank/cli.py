@@ -24,7 +24,7 @@ import scipy
 
 from . import __version__
 from .errors import ParameterError
-from .geodesics import GeodesicState, geodesic_flow, normal_frame
+from .geodesics import DEFAULT_STEP, GeodesicState, geodesic_flow, normal_frame
 from .geometry import (
     BergerSphere,
     ComplexProjective,
@@ -35,8 +35,16 @@ from .geometry import (
     curvature_bounds,
     curvature_scan,
 )
-from .jacobi import curvature_profile, detect_events, jacobi_propagate
+from .jacobi import DEFAULT_RANK_TOL, curvature_profile, detect_events, jacobi_propagate
 from .rank import (
+    BOUNDS,
+    DEFAULT_CURV_TOL,
+    DEFAULT_TIME_TOL,
+    DEFAULT_WEAK_TOL,
+    POSITIVE_SPHERICAL,
+    PROPERTIES,
+    STRATIFICATIONS,
+    WEAK_SIDES,
     BergerReportRow,
     GeodesicSampler,
     berger_report,
@@ -48,13 +56,13 @@ from .rank import (
 DEFAULT_MANIFEST = {
     "model": {"kind": "round", "dim": 3},
     "normalization": "none",
-    "sampler": {"count": 200, "seed": 12345, "stratification": "include-special"},
-    "integrator": {"step": 1e-3, "horizon": 3.5},
+    "sampler": {"count": 200, "seed": 12345, "stratification": GeodesicSampler.stratification},
+    "integrator": {"step": DEFAULT_STEP, "horizon": 3.5},
     "tolerances": {
-        "time_tol": 1e-6,
-        "rank_tol": 1e-7,
-        "weak_tol": 1e-5,
-        "curv_tol": 1e-8,
+        "time_tol": DEFAULT_TIME_TOL,
+        "rank_tol": DEFAULT_RANK_TOL,
+        "weak_tol": DEFAULT_WEAK_TOL,
+        "curv_tol": DEFAULT_CURV_TOL,
     },
     "output": {"format": "json", "path": None},
     "eta_list": None,
@@ -87,12 +95,10 @@ _FLAGS = {
     "--dim": _Flag("model.dim", {"type": int, "help": "round-sphere dimension"}, "round", 3),
     "--eta": _Flag("model.eta", {"type": float, "help": "Berger parameter"}, "berger"),
     "--cpn-n": _Flag("model.n", {"type": int, "help": "CP^n complex dimension"}, "cpn", 2),
-    "--normalization": _Flag("normalization", {"choices": ["none", "upper", "lower"]}),
+    "--normalization": _Flag("normalization", {"choices": ["none", *BOUNDS]}),
     "--count": _Flag("sampler.count", {"type": int}),
     "--seed": _Flag("sampler.seed", {"type": int}),
-    "--stratification": _Flag(
-        "sampler.stratification", {"choices": ["uniform", "include-special"]}
-    ),
+    "--stratification": _Flag("sampler.stratification", {"choices": STRATIFICATIONS}),
     "--step": _Flag("integrator.step", {"type": float}),
     "--horizon": _Flag("integrator.horizon", {"type": float}),
     "--time-tol": _Flag("tolerances.time_tol", {"type": float}),
@@ -289,22 +295,7 @@ def _verdict_payload(verdict, tolerances):
         "worst_case": verdict.worst_case,
         "detail": verdict.detail,
         "tolerances": tolerances,
-        "evidence": [
-            {
-                "index": e.index,
-                "point": e.point,
-                "velocity": e.velocity,
-                "events": [
-                    {"time": ev.time, "multiplicity": ev.multiplicity} for ev in e.events
-                ],
-                "passes": e.passes,
-                "has_certificate": e.has_certificate,
-                "certificate_deviation": e.certificate_deviation,
-                "weak_deviation": e.weak_deviation,
-                "excluded_samples": e.excluded_samples,
-            }
-            for e in verdict.evidence
-        ],
+        "evidence": [dataclasses.asdict(e) for e in verdict.evidence],
     }
 
 
@@ -403,7 +394,7 @@ def cmd_rank(manifest, args):
     tols = manifest["tolerances"]
     sampler = _sampler(manifest)
     step = float(manifest["integrator"]["step"])
-    if args.property == "positive-spherical":
+    if args.property == POSITIVE_SPHERICAL:
         verdict = check_positive_spherical_rank(
             model,
             sampler,
@@ -412,10 +403,10 @@ def cmd_rank(manifest, args):
             rank_tol=float(tols["rank_tol"]),
             step=step,
         )
-    else:  # weak-upper or weak-lower
+    else:
         verdict = check_weak_spherical_rank(
             model,
-            args.property.split("-")[1],
+            WEAK_SIDES[args.property],
             sampler,
             tol=float(tols["weak_tol"]),
             step=step,
@@ -441,7 +432,8 @@ def cmd_berger_report(manifest, args):
         raise ParameterError("berger-report requires a non-empty eta list")
     sampler = _sampler(manifest)
     step = float(manifest["integrator"]["step"])
-    rows = berger_report(etas, sampler, step=step, scan_samples=sampler.count)
+    tols = {key: float(value) for key, value in manifest["tolerances"].items()}
+    rows = berger_report(etas, sampler, step=step, scan_samples=sampler.count, **tols)
     dicts = [r.as_dict() for r in rows]
     header = [f.name for f in dataclasses.fields(BergerReportRow)]
     table = [[d[k] for k in header] for d in dicts]
@@ -510,11 +502,7 @@ def make_parser():
     p = sub.add_parser("rank", help="aggregate rank verdict over sampled geodesics")
     p.set_defaults(run=cmd_rank)
     _add_common(p)
-    p.add_argument(
-        "--property",
-        required=True,
-        choices=["positive-spherical", "weak-upper", "weak-lower"],
-    )
+    p.add_argument("--property", required=True, choices=PROPERTIES)
 
     p = sub.add_parser("berger-report", help="survey a list of Berger parameters")
     p.set_defaults(run=cmd_berger_report)

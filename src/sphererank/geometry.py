@@ -736,11 +736,6 @@ def gaussians_from_uniforms(u):
     return ndtri(u)
 
 
-def uniform_dims(model):
-    """(point, direction) uniform-sample dimensions for the model."""
-    return model.point_dim, model.tangent_dim
-
-
 def points_from_uniforms(model, u):
     """Map uniform rows to model points (Gaussian radial map, then normalize)."""
     g = gaussians_from_uniforms(u)
@@ -826,8 +821,8 @@ def curvature_scan(model, sample_count, seed):
         raise ParameterError("curvature_scan needs sample_count >= 1")
     core, _ = unwrap(model)
     berger = isinstance(core, BergerSphere)
-    dp, dt = uniform_dims(model)
-    plane_dims = 2 if berger else 2 * dt
+    dp = model.point_dim
+    plane_dims = 2 if berger else 2 * model.tangent_dim
     u = sobol_uniforms(dp + plane_dims, sample_count, seed)
     points = points_from_uniforms(model, u[:, :dp])
     if berger:

@@ -14,6 +14,7 @@ memory is bounded by one chunk.  Verdicts are deterministic functions of
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -41,12 +42,12 @@ from .geometry import (
     points_from_uniforms,
     sobol_uniforms,
     tangents_from_uniforms,
-    uniform_dims,
 )
 from .jacobi import (
     DEFAULT_RANK_TOL,
     CurvatureProfile,
     JacobiPropagator,
+    _singular_times,
     detect_events,
     interval_midpoints,
     profile_arrays,
@@ -56,11 +57,17 @@ from .jacobi import (
 
 DEFAULT_CHUNK = 128
 DEFAULT_CERT_TOL = 1e-6
+DEFAULT_TIME_TOL = 1e-6
+DEFAULT_CURV_TOL = 1e-8
+DEFAULT_WEAK_TOL = 1e-5
 RICHARDSON_AGREEMENT = 1e-7
 
 POSITIVE_SPHERICAL = "positive-spherical"
-WEAK_UPPER = "weak-upper"
-WEAK_LOWER = "weak-lower"
+# the curvature bound (``bound`` / ``side``) each weak property normalizes to
+WEAK_SIDES = {"weak-upper": "upper", "weak-lower": "lower"}
+BOUNDS = tuple(WEAK_SIDES.values())
+PROPERTIES = (POSITIVE_SPHERICAL, *WEAK_SIDES)
+STRATIFICATIONS = ("uniform", "include-special")
 
 
 # ---------------------------------------------------------------------------
@@ -78,18 +85,18 @@ class GeodesicSampler:
 
     count: int
     seed: int
-    stratification: str = "include-special"
+    stratification: str = STRATIFICATIONS[1]
 
     def __post_init__(self):
         if self.count < 1:
             raise ParameterError("sampler count must be >= 1")
-        if self.stratification not in ("uniform", "include-special"):
-            raise ParameterError("stratification must be 'uniform' or 'include-special'")
+        if self.stratification not in STRATIFICATIONS:
+            raise ParameterError(f"stratification must be one of {STRATIFICATIONS}")
 
     def states(self, model):
         """Initial (points, unit velocities) arrays of shape (count, .)."""
-        dp, dt = uniform_dims(model)
-        u = sobol_uniforms(dp + dt, self.count, self.seed)
+        dp = model.point_dim
+        u = sobol_uniforms(dp + model.tangent_dim, self.count, self.seed)
         P = points_from_uniforms(model, u[:, :dp])
         W = tangents_from_uniforms(model, P, u[:, dp:])
         if self.stratification == "include-special":
@@ -146,8 +153,8 @@ def normalize_to_bound(model, bound):
     The exact closed-form extremes of the built-in models are used (the
     sampled scan systematically undershoots isolated extremes).
     """
-    if bound not in ("upper", "lower"):
-        raise ParameterError("bound must be 'upper' or 'lower'")
+    if bound not in BOUNDS:
+        raise ParameterError(f"bound must be one of {BOUNDS}")
     lo, hi = curvature_bounds(model)
     extreme = hi if bound == "upper" else lo
     if extreme <= 0:
@@ -159,6 +166,16 @@ def normalize_to_bound(model, bound):
 
 # ---------------------------------------------------------------------------
 # batched pipeline
+
+
+def _check_arguments(chunk, **tolerances):
+    """``ParameterError`` naming the argument unless ``chunk`` is an integer >= 1
+    and every tolerance is finite and positive."""
+    if not (isinstance(chunk, numbers.Integral) and chunk >= 1):
+        raise ParameterError(f"chunk must be an integer >= 1, got {chunk!r}")
+    for name, value in tolerances.items():
+        if not 0 < value < math.inf:  # NaN fails too
+            raise ParameterError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _by_chunk(n, size, analyze):
@@ -235,8 +252,8 @@ def _bundle_propagator(bundle, sols):
 def check_positive_spherical_rank(
     model,
     sampler,
-    time_tol=1e-6,
-    curv_tol=1e-8,
+    time_tol=DEFAULT_TIME_TOL,
+    curv_tol=DEFAULT_CURV_TOL,
     *,
     step=DEFAULT_STEP,
     event_window=None,
@@ -251,6 +268,8 @@ def check_positive_spherical_rank(
     a violated bound yields the distinct "precondition-failed" status rather
     than ``holds = False``.
     """
+    _check_arguments(chunk, time_tol=time_tol, curv_tol=curv_tol, rank_tol=rank_tol)
+
     def unmet(what, sec):
         detail = f"{what} {sec:.9g} exceeds 1 + {curv_tol:g}"
         return RankVerdict(POSITIVE_SPHERICAL, False, "precondition-failed", [], None, detail)
@@ -324,14 +343,7 @@ def check_positive_spherical_rank(
         worst = next(e.index for e in evidence if not e.passes)
         detail = f"geodesic {worst} violates the conjugate-at-pi condition"
     detail += f"; max sampled sec = {sampled_sec_max:.9g}"
-    return RankVerdict(
-        property_name=POSITIVE_SPHERICAL,
-        holds=holds,
-        status="ok",
-        evidence=evidence,
-        worst_case=worst,
-        detail=detail,
-    )
+    return RankVerdict(POSITIVE_SPHERICAL, holds, "ok", evidence, worst, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +411,7 @@ def check_weak_spherical_rank(
     model,
     side,
     sampler,
-    tol=1e-5,
+    tol=DEFAULT_WEAK_TOL,
     *,
     step=DEFAULT_STEP,
     method="auto",
@@ -414,8 +426,9 @@ def check_weak_spherical_rank(
     closed-form witness and falls back to the search, "witness" and "search"
     force one route.
     """
-    if side not in ("upper", "lower"):
-        raise ParameterError("side must be 'upper' or 'lower'")
+    _check_arguments(chunk, tol=tol)
+    if side not in BOUNDS:
+        raise ParameterError(f"side must be one of {BOUNDS}")
     if method not in ("auto", "witness", "search"):
         raise ParameterError("method must be 'auto', 'witness', or 'search'")
     lo, hi = curvature_bounds(model)
@@ -425,7 +438,7 @@ def check_weak_spherical_rank(
             f"model is not normalized: {side} bound is {bound:.9g}, expected 1"
         )
     has_killing = model.killing_direction() is not None
-    prop_name = WEAK_UPPER if side == "upper" else WEAK_LOWER
+    prop_name = next(prop for prop, bound in WEAK_SIDES.items() if bound == side)
 
     P, W = sampler.states(model)
 
@@ -477,14 +490,7 @@ def check_weak_spherical_rank(
         detail = f"all {len(evidence)} geodesics carry a curvature-1 Jacobi field"
     else:
         detail = f"geodesic {worst} has deviation {max(e.weak_deviation for e in evidence):.3g}"
-    return RankVerdict(
-        property_name=prop_name,
-        holds=holds,
-        status="ok",
-        evidence=evidence,
-        worst_case=worst,
-        detail=detail,
-    )
+    return RankVerdict(prop_name, holds, "ok", evidence, worst, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +523,11 @@ def measure_fiber_time(eta, step=DEFAULT_STEP):
 
     With u0 the initial ambient velocity, f = <q, u0> is sin(t / eta) / eta
     along the fiber, so the closure time is the upward zero of f after half a
-    period: the root, by Newton's method from the secant root, of the cubic
-    Hermite interpolant of f (node slopes from ``state_rhs``) in the grid cell
-    where f changes sign.  Only the flow's own error is left.
+    period: the real root of the cubic Hermite interpolant of f (node slopes
+    from ``state_rhs``) in the grid cell where f changes sign, an eigenvalue
+    of the companion pencil of ``_singular_times`` (the scalar case, k = 1).
+    Only the flow's own error is left.  ``DomainError`` if the cell holds no
+    root or more than one.
     """
     model = BergerSphere(eta)
     q0, w = model.special_directions()["fiber"]
@@ -530,20 +538,19 @@ def measure_fiber_time(eta, step=DEFAULT_STEP):
     u0 = model.state_rhs(X[0], V[0])[0]
     f = X @ u0
     j = np.argmax((traj.times[:-1] > 0.5 * period) & (f[:-1] <= 0.0) & (f[1:] > 0.0))
-    t, h = traj.times[j], traj.times[j + 1] - traj.times[j]
-    f0, f1 = f[j : j + 2]
-    d0, d1 = h * (model.state_rhs(X[j : j + 2], V[j : j + 2])[0] @ u0)
-    # the interpolant in powers of the cell fraction s
-    cubic = np.polynomial.Polynomial([f0, d0, 3 * (f1 - f0) - 2 * d0 - d1, 2 * (f0 - f1) + d0 + d1])
-    s = f0 / (f0 - f1)
-    for _ in range(3):
-        s -= cubic(s) / cubic.deriv()(s)
-    return float(t + s * h)
+    cell = slice(j, j + 2)
+    times, df = traj.times[cell], model.state_rhs(X[cell], V[cell])[0] @ u0
+    roots = _singular_times(times, f[cell, None, None], df[:, None, None], *times)
+    if len(roots) != 1:
+        raise DomainError(f"{len(roots)} zeros of <q, u0> in the closing cell of the fiber")
+    return float(roots[0])
 
 
-def berger_report(etas, sampler, *, step=DEFAULT_STEP, scan_samples=10000):
+def berger_report(etas, sampler, *, step=DEFAULT_STEP, scan_samples=10000,
+                  time_tol=DEFAULT_TIME_TOL, curv_tol=DEFAULT_CURV_TOL,
+                  rank_tol=DEFAULT_RANK_TOL, weak_tol=DEFAULT_WEAK_TOL):
     """Survey rows for a list of Berger parameters (curvature range, fiber
-    closure time, and the three rank verdicts)."""
+    closure time, and the three rank verdicts at the given tolerances)."""
     etas = list(etas)
     if not etas:
         raise ParameterError("eta list must not be empty")
@@ -556,8 +563,10 @@ def berger_report(etas, sampler, *, step=DEFAULT_STEP, scan_samples=10000):
         scan = curvature_scan(model, scan_samples, 0)
         fiber_time = measure_fiber_time(eta, step=step)
         upper = normalize_to_bound(model, "upper")
-        positive = check_positive_spherical_rank(upper, sampler, step=step)
-        weak_up = check_weak_spherical_rank(upper, "upper", sampler, step=step)
+        positive = check_positive_spherical_rank(
+            upper, sampler, time_tol, curv_tol, step=step, rank_tol=rank_tol
+        )
+        weak_up = check_weak_spherical_rank(upper, "upper", sampler, weak_tol, step=step)
         notes = []
         if lo <= 0:
             notes.append("not positively curved; lower bound <= 0, lower normalization impossible")
@@ -565,7 +574,7 @@ def berger_report(etas, sampler, *, step=DEFAULT_STEP, scan_samples=10000):
             lower_ok = False
         else:
             lower = normalize_to_bound(model, "lower")
-            weak_low = check_weak_spherical_rank(lower, "lower", sampler, step=step).holds
+            weak_low = check_weak_spherical_rank(lower, "lower", sampler, weak_tol, step=step).holds
             lower_ok = True
         rows.append(
             BergerReportRow(

@@ -188,10 +188,9 @@ def test_criterion_8_property_suites():
             gaussians_from_uniforms,
             points_from_uniforms,
             sobol_uniforms,
-            uniform_dims,
         )
 
-        dp, dt = uniform_dims(model)
+        dp, dt = model.point_dim, model.tangent_dim
         u = sobol_uniforms(dp + 4 * dt, 100, SEED + mi)
         Pts = points_from_uniforms(model, u[:, :dp])
         g = gaussians_from_uniforms(u[:, dp:])

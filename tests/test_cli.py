@@ -1,10 +1,16 @@
+import dataclasses
+import inspect
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
+import sphererank as sr
 from sphererank import cli
 from sphererank.errors import ParameterError
+from sphererank.jacobi import detect_events
 
 
 def _run(capsys, argv):
@@ -379,3 +385,57 @@ def test_geodesic_command_trace(capsys, tmp_path):
     assert report["payload"]["closure_distance"] < 1e-6
     header = trace.read_text().splitlines()[0]
     assert header == "t,p0,p1,p2,p3,v0,v1,v2,speed"
+
+
+# ---------------------------------------------------------------------------
+# the CLI reads its defaults, names and evidence fields from the library
+
+
+def test_manifest_defaults_are_the_library_defaults():
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    m = cli.DEFAULT_MANIFEST
+    tols = m["tolerances"]
+    pos, weak = sr.check_positive_spherical_rank, sr.check_weak_spherical_rank
+    assert m["integrator"]["step"] == default(pos, "step") == default(weak, "step")
+    assert tols["time_tol"] == default(pos, "time_tol")
+    assert tols["curv_tol"] == default(pos, "curv_tol")
+    assert tols["rank_tol"] == default(pos, "rank_tol") == default(detect_events, "rank_tol")
+    assert tols["weak_tol"] == default(weak, "tol")
+    assert m["sampler"]["stratification"] == default(sr.GeodesicSampler, "stratification")
+    for key, value in tols.items():
+        assert default(sr.berger_report, key) == value, key
+
+
+def test_readme_schema_is_the_default_manifest():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"schema with defaults:\s*```json\n(.*?)```", readme, re.S)
+    assert json.loads(block[1]) == cli.DEFAULT_MANIFEST
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--property", "positive-spherical", "--model", "round", "--dim", "3"],
+        ["--property", "weak-upper", "--model", "berger", "--eta", "1.2",
+         "--normalization", "upper"],
+    ],
+    ids=["positive", "weak-upper"],
+)
+def test_rank_evidence_keys_are_the_rank_evidence_fields(capsys, argv):
+    code, report = _run(capsys, ["rank", *argv, "--count", "4", "--seed", "3"])
+    assert code == 0
+    evidence = report["payload"]["evidence"]
+    fields = {f.name for f in dataclasses.fields(sr.RankEvidence)}
+    assert len(evidence) == 4 and all(set(e) == fields for e in evidence)
+    assert all(e["richardson_gap"] is None for e in evidence)
+
+
+def test_berger_report_uses_the_manifest_tolerances(capsys):
+    # Berger(0.5) upper-normalized misses the weak property by less than 0.95
+    argv = ["berger-report", "--etas", "0.5", "--count", "2", "--seed", "3", "--weak-tol", "0.95"]
+    code, report = _run(capsys, argv)
+    assert code == 0
+    assert report["manifest"]["tolerances"]["weak_tol"] == 0.95
+    assert report["payload"]["rows"][0]["weak_upper"] is True

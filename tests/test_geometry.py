@@ -156,10 +156,9 @@ def _random_tangents(model, count, seed):
         gaussians_from_uniforms,
         points_from_uniforms,
         sobol_uniforms,
-        uniform_dims,
     )
 
-    dp, dt = uniform_dims(model)
+    dp, dt = model.point_dim, model.tangent_dim
     u = sobol_uniforms(dp + 3 * dt, count, seed)
     P = points_from_uniforms(model, u[:, :dp])
     g = gaussians_from_uniforms(u[:, dp:])

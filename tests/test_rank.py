@@ -440,3 +440,27 @@ def test_weak_check_propagates_only_for_the_search(monkeypatch, model, side, met
     # the search propagates once per chunk, with the second fundamental solution
     sr.check_weak_spherical_rank(model, side, sampler, method="search", chunk=4)
     assert calls == [{"with_second": True}] * 2
+
+
+@pytest.mark.parametrize(
+    "check, kwargs, name",
+    [
+        ("positive", {"chunk": 0}, "chunk"),
+        ("positive", {"chunk": -4}, "chunk"),
+        ("positive", {"chunk": 2.5}, "chunk"),
+        ("weak", {"chunk": 0}, "chunk"),
+        ("positive", {"curv_tol": math.nan}, "curv_tol"),
+        ("positive", {"time_tol": -1e-6}, "time_tol"),
+        ("positive", {"rank_tol": math.inf}, "rank_tol"),
+        ("weak", {"tol": math.inf}, "tol"),
+        ("weak", {"tol": -1e-6}, "tol"),
+    ],
+)
+def test_rank_checks_reject_bad_chunks_and_tolerances(check, kwargs, name):
+    # sec = 1 / 0.81 on the scaled sphere: a NaN curv_tol would skip the precondition
+    sampler = sr.GeodesicSampler(2, 3)
+    with pytest.raises(sr.ParameterError, match=f"^{name} must be"):
+        if check == "positive":
+            sr.check_positive_spherical_rank(sr.Scaled(sr.RoundSphere(2), 0.9), sampler, **kwargs)
+        else:
+            sr.check_weak_spherical_rank(sr.RoundSphere(2), "upper", sampler, **kwargs)
