@@ -61,6 +61,8 @@ DEFAULT_TIME_TOL = 1e-6
 DEFAULT_CURV_TOL = 1e-8
 DEFAULT_WEAK_TOL = 1e-5
 RICHARDSON_AGREEMENT = 1e-7
+# arc length between the curvature samples the positive check's eigvalsh reads
+SEC_SAMPLE_SPACING = 8e-3
 
 POSITIVE_SPHERICAL = "positive-spherical"
 # the curvature bound (``bound`` / ``side``) each weak property normalizes to
@@ -288,8 +290,9 @@ def check_positive_spherical_rank(
         nonlocal sampled_sec_max
         bundle = _bundle(model, P[a:b], W[a:b], horizon, step_, frame=False)
         sols = _propagate_bundle(bundle)
+        stride = max(1, int(SEC_SAMPLE_SPACING / bundle["step"] + 1e-9))
         sampled_sec_max = max(
-            sampled_sec_max, float(np.max(np.linalg.eigvalsh(bundle["K"][::4])))
+            sampled_sec_max, float(np.max(np.linalg.eigvalsh(bundle["K"][::stride])))
         )
         events = detect_events(_bundle_propagator(bundle, sols), (0.0, window_end),
                                rank_tol=rank_tol)
@@ -422,9 +425,9 @@ def check_weak_spherical_rank(
 
     ``side`` states which curvature bound the model was normalized to; the
     model must already be normalized (the relevant exact bound equal to 1
-    within ``tol``).  ``method`` selects the witness: "auto" tries the
-    closed-form witness and falls back to the search, "witness" and "search"
-    force one route.
+    within ``DEFAULT_CURV_TOL``, whatever ``tol``).  ``method`` selects the
+    witness: "auto" tries the closed-form witness and falls back to the
+    search, "witness" and "search" force one route.
     """
     _check_arguments(chunk, tol=tol)
     if side not in BOUNDS:
@@ -433,7 +436,7 @@ def check_weak_spherical_rank(
         raise ParameterError("method must be 'auto', 'witness', or 'search'")
     lo, hi = curvature_bounds(model)
     bound = hi if side == "upper" else lo
-    if abs(bound - 1.0) > tol:
+    if abs(bound - 1.0) > DEFAULT_CURV_TOL:
         raise ParameterError(
             f"model is not normalized: {side} bound is {bound:.9g}, expected 1"
         )

@@ -30,7 +30,7 @@ def test_manifest_defaults_and_overrides(tmp_path):
     assert m["model"] == {"kind": "berger", "eta": 0.9}
     assert m["sampler"]["count"] == 7
     assert m["sampler"]["seed"] == 99
-    assert m["integrator"]["step"] == 1e-3
+    assert m["integrator"]["step"] == 2e-3
 
 
 def test_manifest_rejects_unknown_keys(tmp_path):
@@ -134,6 +134,8 @@ def test_conjugate_command_round3(capsys, tmp_path):
             "3",
             "--horizon",
             "4.0",
+            "--step",
+            "0.001",
             "--count",
             "4",
             "--format",
@@ -217,6 +219,15 @@ def test_rank_exit_codes(capsys):
     )
     assert code == 2
     assert report["verdict_summary"] == "precondition-failed"
+
+
+def test_rank_weak_tol_does_not_stand_in_for_normalization(capsys):
+    # Berger(1.2) has upper bound 1.44; without --normalization it is not normalized
+    argv = ["rank", "--property", "weak-upper", "--model", "berger", "--eta", "1.2"]
+    code = cli.main(argv + ["--weak-tol", "0.95", "--count", "4", "--seed", "3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "not normalized" in err
 
 
 def test_rank_weak_lower_exit(capsys):

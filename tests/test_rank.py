@@ -6,6 +6,7 @@ import pytest
 
 import sphererank as sr
 from sphererank import rank as rank_mod
+from sphererank.geodesics import DEFAULT_STEP, time_grid
 from sphererank.geometry import unwrap
 
 
@@ -117,6 +118,25 @@ def test_positive_rank_precondition_distinct_state():
     assert v2.status == "precondition-failed"
 
 
+class _UnderstatedSphere(sr.Scaled):
+    """A scaled sphere whose stated curvature bounds hide its true curvature."""
+
+    def curvature_bounds(self):
+        return 1.0, 1.0
+
+
+def test_positive_rank_sampled_curvature_precondition():
+    # the stated bounds pass; the sampled K (sec = 1 / 0.81 everywhere) must not
+    model = _UnderstatedSphere(sr.RoundSphere(2), 0.9)
+    for richardson in (False, True):
+        v = sr.check_positive_spherical_rank(
+            model, sr.GeodesicSampler(4, 3), richardson=richardson
+        )
+        assert v.status == "precondition-failed"
+        assert not v.holds and v.evidence == []
+        assert "sampled curvature" in v.detail
+
+
 def test_positive_rank_richardson_and_determinism():
     m = sr.RoundSphere(3)
     v1 = sr.check_positive_spherical_rank(m, sr.GeodesicSampler(6, 11), richardson=True)
@@ -213,6 +233,14 @@ def test_weak_rank_requires_normalization():
         )
 
 
+def test_weak_rank_tol_does_not_decide_normalization():
+    # upper bound 1.44: a loose deviation tolerance must not pass it as normalized
+    with pytest.raises(sr.ParameterError, match="not normalized"):
+        sr.check_weak_spherical_rank(
+            sr.BergerSphere(1.2), "upper", sr.GeodesicSampler(4, 3), tol=0.95
+        )
+
+
 def test_weak_rank_search_agrees_with_witness():
     up = sr.normalize_to_bound(sr.BergerSphere(1.2), "upper")
     s = sr.GeodesicSampler(4, 13)
@@ -230,7 +258,8 @@ def test_weak_rank_vertical_geodesic_handled():
     v = sr.check_weak_spherical_rank(low, "lower", sr.GeodesicSampler(2, 3))
     fiber = v.evidence[0]
     assert fiber.passes
-    assert fiber.excluded_samples > 1000  # the witness vanishes at every sample
+    # the witness vanishes at every sample
+    assert fiber.excluded_samples == len(time_grid(math.pi, 2 * DEFAULT_STEP))
 
 
 @pytest.mark.parametrize(
