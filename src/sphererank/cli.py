@@ -301,6 +301,9 @@ def _verdict_payload(verdict, tolerances):
 
 # ---------------------------------------------------------------------------
 # commands
+#
+# A command returns (payload, table, summary, exit code).  ``table()`` gives
+# the CSV header and rows; it is called only when a CSV is written.
 
 
 def cmd_scan_curvature(manifest, args):
@@ -331,7 +334,7 @@ def cmd_scan_curvature(manifest, args):
         ["max", scan.maximum, hi],
     ]
     summary = f"sec range [{scan.minimum:.6g}, {scan.maximum:.6g}]"
-    return payload, (["extreme", "scanned", "closed_form"], rows), summary, 0
+    return payload, lambda: (["extreme", "scanned", "closed_form"], rows), summary, 0
 
 
 def cmd_geodesic(manifest, args):
@@ -349,21 +352,20 @@ def cmd_geodesic(manifest, args):
         "horizon": traj.horizon,
         "unit_speed": traj.unit_speed,
     }
-    dp = traj.points.shape[1]
-    dt = traj.velocities.shape[1]
-    header = (
-        ["t"]
-        + [f"p{i}" for i in range(dp)]
-        + [f"v{i}" for i in range(dt)]
-        + ["speed"]
-    )
-    speeds = traj.speeds()
-    rows = [
-        [traj.times[i], *traj.points[i], *traj.velocities[i], speeds[i]]
-        for i in range(len(traj.times))
-    ]
+
+    def table():
+        dp = traj.points.shape[1]
+        dt = traj.velocities.shape[1]
+        header = ["t"] + [f"p{i}" for i in range(dp)] + [f"v{i}" for i in range(dt)] + ["speed"]
+        speeds = traj.speeds()
+        rows = [
+            [traj.times[i], *traj.points[i], *traj.velocities[i], speeds[i]]
+            for i in range(len(traj.times))
+        ]
+        return header, rows
+
     summary = f"geodesic integrated to t={traj.horizon:.6g}, closure {closure:.3g}"
-    return payload, (header, rows), summary, 0
+    return payload, table, summary, 0
 
 
 def cmd_conjugate(manifest, args):
@@ -377,16 +379,19 @@ def cmd_conjugate(manifest, args):
     profile = curvature_profile(traj, frame)
     prop = jacobi_propagate(profile)
     events = detect_events(prop, (0.0, horizon), rank_tol=float(tols["rank_tol"]))
-    sigma = prop.smallest_singular_values()
     payload = {
         "events": [{"time": e.time, "multiplicity": e.multiplicity} for e in events],
         "window": [0.0, horizon],
         "initial_point": initial.point.coordinates,
         "initial_velocity": initial.velocity.components,
     }
-    rows = [[prop.times[i], sigma[i]] for i in range(len(prop.times))]
+
+    def table():
+        sigma = prop.smallest_singular_values()
+        return ["t", "sigma_min"], [[prop.times[i], sigma[i]] for i in range(len(prop.times))]
+
     summary = f"{len(events)} conjugate event(s) in (0, {horizon:.6g}]"
-    return payload, (["t", "sigma_min"], rows), summary, 0
+    return payload, table, summary, 0
 
 
 def cmd_rank(manifest, args):
@@ -423,7 +428,7 @@ def cmd_rank(manifest, args):
         for e in verdict.evidence
     ]
     header = ["index", "passes", "n_events", "weak_deviation", "certificate_deviation"]
-    return payload, (header, rows), summary, code
+    return payload, lambda: (header, rows), summary, code
 
 
 def cmd_berger_report(manifest, args):
@@ -438,7 +443,7 @@ def cmd_berger_report(manifest, args):
     header = [f.name for f in dataclasses.fields(BergerReportRow)]
     table = [[d[k] for k in header] for d in dicts]
     summary = f"{len(rows)} Berger rows"
-    return {"rows": dicts}, (header, table), summary, 0
+    return {"rows": dicts}, lambda: (header, table), summary, 0
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +532,7 @@ def main(argv=None):
     out = manifest["output"]
     if out["path"]:
         if out["format"] == "csv":
-            header, rows = table
-            write_csv(out["path"], header, rows)
+            write_csv(out["path"], *table())
         else:
             with open(out["path"], "w", encoding="utf-8") as fh:
                 fh.write(text)

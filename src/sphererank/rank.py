@@ -7,8 +7,9 @@ parallel normal frame, assembles the curvature profile, and propagates the
 Jacobi fundamental solution; geodesics in a chunk (``DEFAULT_CHUNK`` of them
 unless ``chunk=`` says otherwise) advance in lockstep so the checks stay
 fast, and each chunk's arrays are freed before the next chunk is built, so
-memory is bounded by one chunk.  Verdicts are deterministic functions of
-(model, sampler seed, tolerances), whatever the chunk size.
+memory is bounded by one chunk.  The weak check skips the frame where the
+model's Killing field already gives the answer.  Verdicts are deterministic
+functions of (model, sampler seed, tolerances), whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from scipy import linalg
 from .errors import DomainError, NormalizationError, ParameterError
 from .geodesics import (
     DEFAULT_STEP,
+    PROFILE_BLOCK,
     GeodesicState,
-    ParallelField,
-    Trajectory,
     flow_arrays,
     frame_arrays,
     geodesic_flow,
@@ -40,6 +40,7 @@ from .geometry import (
     curvature_bounds,
     curvature_scan,
     points_from_uniforms,
+    sec_from_components,
     sobol_uniforms,
     tangents_from_uniforms,
 )
@@ -116,9 +117,12 @@ class GeodesicSampler:
 class RankEvidence:
     """Per-geodesic record backing a rank verdict.
 
-    ``weak_deviation`` is max |sec(gamma', J) - 1| of the best field found;
-    on a failing geodesic that field is the least-squares one of
-    ``weak_field_search``, not a minimax optimum.
+    ``weak_deviation`` is max |sec(gamma', J) - 1| of the best field found,
+    over the samples where |J| > tol (``excluded_samples`` counts the
+    others).  For the Killing witness it is read from the curvature tensor
+    at each sample, so it carries no frame's error; the other fields are
+    read through the frame's K.  On a failing geodesic the field
+    is the least-squares one of ``weak_field_search``, not a minimax optimum.
     """
 
     index: int
@@ -189,27 +193,39 @@ def _by_chunk(n, size, analyze):
     return [r for a in range(0, n, size) for r in analyze(a, min(n, a + size))]
 
 
-def _bundle(model, P, W, horizon, step, frame=True):
-    """Integrate and analyze a geodesic bundle on the grid ``time_grid(horizon, 2 * step)``.
-
-    (One interval when the horizon is shorter.)  The flow, the frame, the
-    curvature profile and the Jacobi propagation all run on that one grid,
-    and the frame reads its midpoint states from ``hermite_midpoints``: the
-    scheme of a single geodesic, so each row of a bundle at ``step`` is bit
-    for bit the geodesic of ``geodesic_flow`` at ``2 * step``.  With
-    ``frame=False`` the states and the frame are dropped once K exists (the
-    positive check reads only K).
-    """
+def _flow(model, P, W, horizon, step):
+    """A bundle dict of the geodesics' states X, V on the grid
+    ``time_grid(horizon, 2 * step)`` (one interval when the horizon is shorter)."""
     times = time_grid(horizon, min(2 * step, horizon))
     X, V = flow_arrays(model, P, W, times)
+    return {"times": times, "X": X, "V": V, "step": 2 * step}
+
+
+def _analyze(model, bundle, frame=True):
+    """Add the frame, the curvature profile K and its midpoints to a ``_flow`` bundle.
+
+    The frame, the curvature profile and the Jacobi propagation all run on
+    the flow's grid, and the frame reads its midpoint states from
+    ``hermite_midpoints``: the scheme of a single geodesic, so each row of a
+    bundle at ``step`` is bit for bit the geodesic of ``geodesic_flow`` at
+    ``2 * step``.  With ``frame=False`` the states and the frame are dropped
+    once K exists (the positive check reads only K).
+    """
+    times, X, V = bundle["times"], bundle["X"], bundle["V"]
     E = frame_arrays(model, times, X, V, *hermite_midpoints(model, times, X, V))
-    K, defect = profile_arrays(model, V, E)
-    bundle = {"times": times, "K": K, "defect": defect, "step": 2 * step}
+    bundle["K"], bundle["defect"] = profile_arrays(model, V, E)
     if frame:
-        bundle.update(X=X, V=V, E=E)
+        bundle["E"] = E
+    else:
+        del bundle["X"], bundle["V"]
     del X, V, E
-    bundle["Kmid"] = interval_midpoints(times, K)
+    bundle["Kmid"] = interval_midpoints(times, bundle["K"])
     return bundle
+
+
+def _bundle(model, P, W, horizon, step, frame=True):
+    """Integrate and analyze a geodesic bundle: ``_analyze`` of ``_flow``."""
+    return _analyze(model, _flow(model, P, W, horizon, step), frame)
 
 
 def _propagate_bundle(bundle, with_second=False):
@@ -223,22 +239,6 @@ def _propagate_bundle(bundle, with_second=False):
         N, Np = solve_jacobi_arrays(times, K, Kmid, eye, np.zeros((B, k, k)))
         out["N"] = N
     return out
-
-
-def _views(model, bundle, sols, b):
-    """Per-geodesic profile/propagator objects backed by bundle slices.
-
-    A bundle built with ``frame=False`` gives a profile with no trajectory
-    and no frame fields: its K and the solutions are all detection reads.
-    """
-    times = bundle["times"]
-    traj, fields = None, []
-    if "E" in bundle:
-        traj = Trajectory(model, times, bundle["X"][:, b], bundle["V"][:, b], bundle["step"])
-        fields = [ParallelField(traj, bundle["E"][:, b, a]) for a in range(bundle["E"].shape[2])]
-    profile = CurvatureProfile(traj, fields, bundle["K"][:, b], float(bundle["defect"][b]))
-    prop = JacobiPropagator(profile, times, sols["M"][:, b], sols["Mp"][:, b])
-    return profile, prop
 
 
 def _bundle_propagator(bundle, sols):
@@ -375,6 +375,26 @@ def killing_jacobi_field(model, trajectory):
     return _killing_field(model, trajectory.velocities)
 
 
+def _killing_deviations(model, V, tol):
+    """Per row of the velocities ``V`` (T, B, d): max |sec(gamma', J) - 1| over
+    the samples where |J|_g > tol (inf if none), and the number of the others.
+
+    J is the normal part of the model's Killing field, and sec comes from the
+    curvature tensor, so no frame is needed.  The samples are taken
+    ``PROFILE_BLOCK`` at a time, so the temporaries do not grow with the grid.
+    """
+    worst, excluded = np.full(V.shape[1], -np.inf), np.zeros(V.shape[1], dtype=int)
+    for a in range(0, len(V), PROFILE_BLOCK):
+        v = V[a : a + PROFILE_BLOCK]
+        J = _killing_field(model, v)
+        num, den, _ = sec_from_components(model, v, J)
+        included = np.sqrt(model.inner(J, J)) > tol
+        excluded += np.sum(~included, axis=0)
+        dev = np.abs(num / np.where(included, den, 1.0) - 1.0)
+        worst = np.maximum(worst, np.max(np.where(included, dev, -np.inf), axis=0))
+    return np.where(excluded == len(V), np.inf, worst), excluded
+
+
 def _field_deviation(times, K, Y, tol):
     """Deviation of sec(gamma', J) from 1 for frame samples ``Y`` (T, k)."""
     norms = np.linalg.norm(Y, axis=-1)
@@ -428,6 +448,14 @@ def check_weak_spherical_rank(
     within ``DEFAULT_CURV_TOL``, whatever ``tol``).  ``method`` selects the
     witness: "auto" tries the closed-form witness and falls back to the
     search, "witness" and "search" force one route.
+
+    With a ``killing_direction`` (and not "search") the witness's
+    sec(gamma', J) is read from the curvature tensor along the flow, and a
+    frame, so K, is built only for the rows that need it, sliced from that
+    flow: a vertical row (J = 0; every plane through the velocity must then
+    be extremal, by the eigenvalues of K) and, under "auto", the rows left
+    to the search.  Otherwise every row has a frame and the witness is
+    ``spherical_witness`` on K.
     """
     _check_arguments(chunk, tol=tol)
     if side not in BOUNDS:
@@ -440,51 +468,57 @@ def check_weak_spherical_rank(
         raise ParameterError(
             f"model is not normalized: {side} bound is {bound:.9g}, expected 1"
         )
-    has_killing = model.killing_direction() is not None
+    killing_witness = method != "search" and model.killing_direction() is not None
     prop_name = next(prop for prop, bound in WEAK_SIDES.items() if bound == side)
 
     P, W = sampler.states(model)
 
     def chunk_evidence(a, b):
-        bundle = _bundle(model, P[a:b], W[a:b], math.pi, step)
-        times, K, E, V = bundle["times"], bundle["K"], bundle["E"], bundle["V"]
+        if killing_witness:
+            flow = _flow(model, P[a:b], W[a:b], math.pi, step)
+            times = flow["times"]
+            dev, excluded = _killing_deviations(model, flow["V"], tol)
+            # K only where the witness vanishes or the search may follow
+            vertical = excluded == len(times)
+            rows = np.flatnonzero(vertical | ((dev > tol) & (method == "auto")))
+            flow["X"], flow["V"] = flow["X"][:, rows], flow["V"][:, rows]
+            bundle = _analyze(model, flow) if len(rows) else None
+        else:
+            bundle = _bundle(model, P[a:b], W[a:b], math.pi, step)
+            times, rows = bundle["times"], range(b - a)
+            dev, excluded = np.full(b - a, math.inf), np.zeros(b - a, dtype=int)
         sols = None  # propagated for the first geodesic that needs the search
-        out = []
-        for i in range(b - a):
-            idx = a + i
-            dev, excluded = math.inf, 0
-            if method != "search":
-                if has_killing:
-                    y = model.inner(_killing_field(model, V[:, i])[:, None, :], E[:, i])
-                    dev, excluded = _field_deviation(times, K[:, i], y, tol)
-                    if excluded == len(times):
-                        # vertical geodesic: every plane through the velocity must be extremal
-                        dev = float(np.max(np.abs(np.linalg.eigvalsh(K[:, i]) - 1.0)))
-                else:
-                    hit = spherical_witness(K[:, i], max(tol, 1e-8))
-                    if hit is not None:
-                        y = np.sin(times)[:, None] * hit[0]
-                        dev, excluded = _field_deviation(times, K[:, i], y, tol)
-            if dev > tol and method != "witness":
+        for j, i in enumerate(rows):
+            K = bundle["K"][:, j]
+            if killing_witness:
+                if vertical[i]:
+                    # every plane through the velocity must be extremal
+                    dev[i] = np.max(np.abs(np.linalg.eigvalsh(K) - 1.0))
+            elif method != "search":
+                hit = spherical_witness(K, max(tol, 1e-8))
+                if hit is not None:
+                    y = np.sin(times)[:, None] * hit[0]
+                    dev[i], excluded[i] = _field_deviation(times, K, y, tol)
+            if dev[i] > tol and method != "witness":
                 if sols is None:
                     sols = _propagate_bundle(bundle, with_second=True)
                 dev_s, excluded_s, _ = weak_field_search(
-                    times, K[:, i], sols["M"][:, i], sols["N"][:, i], tol
+                    times, K, sols["M"][:, j], sols["N"][:, j], tol
                 )
-                if dev_s < dev:
-                    dev, excluded = dev_s, excluded_s
-            out.append(
-                RankEvidence(
-                    index=idx,
-                    point=P[idx],
-                    velocity=W[idx],
-                    events=[],
-                    passes=bool(dev <= tol),
-                    weak_deviation=float(dev),
-                    excluded_samples=excluded,
-                )
+                if dev_s < dev[i]:
+                    dev[i], excluded[i] = dev_s, excluded_s
+        return [
+            RankEvidence(
+                index=a + i,
+                point=P[a + i],
+                velocity=W[a + i],
+                events=[],
+                passes=bool(dev[i] <= tol),
+                weak_deviation=float(dev[i]),
+                excluded_samples=int(excluded[i]),
             )
-        return out
+            for i in range(b - a)
+        ]
 
     evidence = _by_chunk(len(P), chunk, chunk_evidence)
     holds = all(e.passes for e in evidence)
@@ -536,7 +570,8 @@ def measure_fiber_time(eta, step=DEFAULT_STEP):
     q0, w = model.special_directions()["fiber"]
     p0, period = Point(q0), 2.0 * math.pi * eta
     initial = GeodesicState(p0, Tangent(p0, w / math.sqrt(float(model.inner(w, w)))))
-    traj = geodesic_flow(model, initial, 1.25 * period, step)
+    # a few steps past the period: the nodes before it do not depend on the horizon
+    traj = geodesic_flow(model, initial, max(1.05 * period, period + 4 * step), step)
     X, V = traj.points, traj.velocities
     u0 = model.state_rhs(X[0], V[0])[0]
     f = X @ u0

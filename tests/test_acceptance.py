@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from bundle_views import row_views
 import fd_oracle as fd
 import sphererank as sr
 from sphererank import rank as rank_mod
@@ -24,7 +25,7 @@ SEED = 20240809
 def _bundle_views(model, P, W, horizon, step=1e-3):
     bundle = rank_mod._bundle(model, P, W, horizon, step)
     sols = rank_mod._propagate_bundle(bundle)
-    return bundle, [rank_mod._views(model, bundle, sols, i) for i in range(len(P))]
+    return bundle, [row_views(model, bundle, sols, i) for i in range(len(P))]
 
 
 def _passline(num, text):

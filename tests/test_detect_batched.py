@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from bundle_views import row_views
 import sphererank as sr
 from sphererank import rank as rank_mod
 
@@ -22,7 +23,7 @@ def _bundle(model, horizon, count=CHUNK, step=rank_mod.DEFAULT_STEP):
     P, W = sr.GeodesicSampler(count, SEED).states(model)
     bundle = rank_mod._bundle(model, P, W, horizon, step, frame=False)
     sols = rank_mod._propagate_bundle(bundle)
-    views = [rank_mod._views(model, bundle, sols, b)[1] for b in range(count)]
+    views = [row_views(model, bundle, sols, b)[1] for b in range(count)]
     return rank_mod._bundle_propagator(bundle, sols), views
 
 

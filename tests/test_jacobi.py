@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bundle_views import row_views
 import closed_forms as cf
 import sphererank as sr
 from sphererank import jacobi as jacobi_mod
@@ -18,7 +19,7 @@ def _bundle_views(model, P, W, horizon, step=1e-3):
     """Batched profile/propagator views (same cores as the public ops)."""
     bundle = rank_mod._bundle(model, P, W, horizon, step)
     sols = rank_mod._propagate_bundle(bundle)
-    return [rank_mod._views(model, bundle, sols, i) for i in range(len(P))]
+    return [row_views(model, bundle, sols, i) for i in range(len(P))]
 
 
 def _unit(model, v):
@@ -128,7 +129,7 @@ def test_bundle_analyzes_on_the_2x_grid_with_curvature_midpoints(horizon):
     assert bundle["Kmid"].shape == (len(times) - 1,) + bundle["K"].shape[1:]
     sols = rank_mod._propagate_bundle(bundle)
     for b in range(len(P)):
-        profile, _ = rank_mod._views(m, bundle, sols, b)
+        profile, _ = row_views(m, bundle, sols, b)
         assert np.array_equal(profile.midpoints(), bundle["Kmid"][:, b])
 
 
@@ -136,7 +137,7 @@ def test_a_profile_that_kept_only_k_raises_domain_error():
     m = sr.RoundSphere(3)
     P, W = sr.GeodesicSampler(2, 5).states(m)
     bundle = rank_mod._bundle(m, P, W, 1.0, 0.01, frame=False)
-    profile, _ = rank_mod._views(m, bundle, rank_mod._propagate_bundle(bundle), 0)
+    profile, _ = row_views(m, bundle, rank_mod._propagate_bundle(bundle), 0)
     x0 = sr.Tangent(sr.Point(P[0]), W[0])
     calls = [
         lambda: profile.times,

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from bundle_views import row_views
 import sphererank as sr
 from sphererank import geodesics
 from sphererank import rank as rank_mod
@@ -67,7 +68,7 @@ def test_bundle_views_report_symmetry_defect():
     expected = np.max(np.abs(raw - np.swapaxes(raw, -1, -2)), axis=(0, 2, 3))
     assert np.all(expected > 0)  # rounding leaves K slightly asymmetric
     for b in range(len(P)):
-        profile, _ = rank_mod._views(model, bundle, sols, b)
+        profile, _ = row_views(model, bundle, sols, b)
         assert profile.symmetry_defect == expected[b]
 
 

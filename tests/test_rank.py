@@ -471,6 +471,54 @@ def test_weak_check_propagates_only_for_the_search(monkeypatch, model, side, met
     assert calls == [{"with_second": True}] * 2
 
 
+@pytest.mark.parametrize("method", ["witness", "auto"])
+def test_killing_witness_transports_a_frame_only_for_the_fiber_row(monkeypatch, method):
+    up = sr.normalize_to_bound(sr.BergerSphere(1.2), "upper")
+    fiber = up.special_directions()["fiber"][1]
+    rows = []
+    real = rank_mod.frame_arrays
+
+    def spy(model, times, X, V, *mids):
+        rows.append(V[0])
+        return real(model, times, X, V, *mids)
+
+    monkeypatch.setattr(rank_mod, "frame_arrays", spy)
+    verdict = sr.check_weak_spherical_rank(up, "upper", sr.GeodesicSampler(6, 3), method=method,
+                                           chunk=4)
+    assert verdict.holds
+    # one transport, along the vertical row alone (J = 0 there, K is read by eigvalsh)
+    assert len(rows) == 1 and rows[0].shape == (1, 3)
+    assert np.array_equal(np.cross(rows[0][0], fiber), np.zeros(3))
+    rows.clear()
+    uniform = sr.GeodesicSampler(6, 3, stratification="uniform")
+    assert sr.check_weak_spherical_rank(up, "upper", uniform, method=method, chunk=4).holds
+    assert rows == []
+
+
+@pytest.mark.parametrize(
+    "eta, side", [(1.2, "upper"), (0.8, "lower"), (0.5, "lower")],
+    ids=["berger1.2-upper", "berger0.8-lower", "berger0.5-lower"],
+)
+def test_fiber_row_and_search_deviations_equal_the_frame_route(eta, side):
+    model = sr.normalize_to_bound(sr.BergerSphere(eta), side)
+    sampler = sr.GeodesicSampler(6, 3)
+    P, W = sampler.states(model)
+    bundle = rank_mod._bundle(model, P, W, math.pi, DEFAULT_STEP)
+    sols = rank_mod._propagate_bundle(bundle, with_second=True)
+    times, K = bundle["times"], bundle["K"]
+    fiber = float(np.max(np.abs(np.linalg.eigvalsh(K[:, 0]) - 1.0)))
+    searched = [
+        sr.weak_field_search(times, K[:, i], sols["M"][:, i], sols["N"][:, i],
+                             rank_mod.DEFAULT_WEAK_TOL)[0]
+        for i in range(len(P))
+    ]
+    for method in ("witness", "auto"):
+        verdict = sr.check_weak_spherical_rank(model, side, sampler, method=method, chunk=4)
+        assert verdict.evidence[0].weak_deviation == fiber
+    verdict = sr.check_weak_spherical_rank(model, side, sampler, method="search", chunk=4)
+    assert [e.weak_deviation for e in verdict.evidence] == searched
+
+
 @pytest.mark.parametrize(
     "check, kwargs, name",
     [
