@@ -522,6 +522,8 @@ def main(argv=None):
     try:
         manifest = load_manifest(args.manifest, _overrides(args))
         payload, table, summary, code = args.run(manifest, args)
+        out = manifest["output"]
+        csv_table = table() if out["path"] and out["format"] == "csv" else None
     except Exception as exc:  # noqa: BLE001 - single CLI error boundary
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -529,10 +531,9 @@ def main(argv=None):
     wall = time.perf_counter() - started
     report = build_report(args.command, manifest, payload, summary, wall)
     text = serialize_report(report)
-    out = manifest["output"]
     if out["path"]:
-        if out["format"] == "csv":
-            write_csv(out["path"], *table())
+        if csv_table is not None:
+            write_csv(out["path"], *csv_table)
         else:
             with open(out["path"], "w", encoding="utf-8") as fh:
                 fh.write(text)

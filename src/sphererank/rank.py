@@ -388,22 +388,25 @@ def _killing_deviations(model, V, tol):
         v = V[a : a + PROFILE_BLOCK]
         J = _killing_field(model, v)
         num, den, _ = sec_from_components(model, v, J)
-        included = np.sqrt(model.inner(J, J)) > tol
-        excluded += np.sum(~included, axis=0)
-        dev = np.abs(num / np.where(included, den, 1.0) - 1.0)
-        worst = np.maximum(worst, np.max(np.where(included, dev, -np.inf), axis=0))
+        block_worst, block_excluded = _sec_deviation(num, den, np.sqrt(model.inner(J, J)), tol)
+        worst, excluded = np.maximum(worst, block_worst), excluded + block_excluded
     return np.where(excluded == len(V), np.inf, worst), excluded
+
+
+def _sec_deviation(num, den, norms, tol):
+    """max |num / den - 1| over the samples (axis 0) where |J| = ``norms`` > tol,
+    -inf where there are none, and the number of the other samples."""
+    included = norms > tol
+    dev = np.abs(num / np.where(included, den, 1.0) - 1.0)
+    return np.max(np.where(included, dev, -np.inf), axis=0), np.sum(~included, axis=0)
 
 
 def _field_deviation(times, K, Y, tol):
     """Deviation of sec(gamma', J) from 1 for frame samples ``Y`` (T, k)."""
     norms = np.linalg.norm(Y, axis=-1)
-    included = norms > tol
-    if not np.any(included):
-        return math.inf, int(len(times))
-    n2 = norms**2
-    sec = np.einsum("ti,tij,tj->t", Y, K, Y) / np.where(included, n2, 1.0)
-    return float(np.max(np.abs(sec[included] - 1.0))), int(np.sum(~included))
+    num = np.einsum("ti,tij,tj->t", Y, K, Y)
+    worst, excluded = _sec_deviation(num, norms**2, norms, tol)
+    return (math.inf if excluded == len(times) else float(worst)), int(excluded)
 
 
 def weak_field_search(times, K, M, N, tol):

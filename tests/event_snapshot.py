@@ -4,8 +4,7 @@ Run once per commit and compare the two files:
 
     PYTHONPATH=src python tests/event_snapshot.py before.json
     PYTHONPATH=src python tests/event_snapshot.py after.json
-    PYTHONPATH=src python tests/event_snapshot.py --compare before.json after.json \
-        [--time-bound 1e-9] [--weak-fraction 1e-4]
+    PYTHONPATH=src python tests/event_snapshot.py --compare before.json after.json
 
 The set is the positive-rank check with Richardson on S^2..S^6 (window
 3.5), on upper-normalized CP^2, Berger(1.2) and Berger(0.6), 200 geodesics
@@ -23,10 +22,9 @@ with its largest change and its bound.  Each field has its own rule:
 
 * counts, multiplicities, ``holds``, ``status``, ``detail``, ``passes``,
   ``has_certificate``, ``excluded_samples`` and sampler states must be equal;
-* event times may move by at most ``--time-bound`` (default
-  ``TIME_BOUND``);
-* weak deviations may move by at most ``--weak-fraction`` (default
-  ``WEAK_FRACTION``) of ``DEFAULT_WEAK_TOL``;
+* event times may move by at most ``TIME_BOUND``;
+* weak deviations may move by at most ``WEAK_FRACTION`` of
+  ``DEFAULT_WEAK_TOL``;
 * an "after" Richardson gap on a geodesic with an event must lie in
   (0, ``RICHARDSON_AGREEMENT``]: a gap of exactly zero means the
   self-check cannot fail; otherwise the gaps may move freely, and their
@@ -46,8 +44,8 @@ import sys
 SEED = 20240809
 VERDICT_FIELDS = ("holds", "status", "detail")
 GEODESIC_FIELDS = ("passes", "has_certificate", "excluded_samples")
-# default bounds of the comparison: the largest event-time move, and the
-# largest weak-deviation move as a fraction of DEFAULT_WEAK_TOL
+# bounds of the comparison: the largest event-time move, and the largest
+# weak-deviation move as a fraction of DEFAULT_WEAK_TOL
 TIME_BOUND = 1e-9
 WEAK_FRACTION = 1e-4
 
@@ -180,11 +178,11 @@ def _moves(old, new, faults):
     return moved
 
 
-def compare(before_path, after_path, time_bound=TIME_BOUND, weak_fraction=WEAK_FRACTION):
+def compare(before_path, after_path):
     """Print the per-case comparison; True when every field keeps its rule."""
     from sphererank.rank import DEFAULT_WEAK_TOL
 
-    bounds = {"event time": time_bound, "weak_deviation": weak_fraction * DEFAULT_WEAK_TOL}
+    bounds = {"event time": TIME_BOUND, "weak_deviation": WEAK_FRACTION * DEFAULT_WEAK_TOL}
     with open(before_path) as fh:
         before = json.load(fh)
     with open(after_path) as fh:
@@ -236,14 +234,10 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
                         help="compare two snapshots instead of writing one")
-    parser.add_argument("--time-bound", type=float, default=TIME_BOUND,
-                        help="largest allowed event-time move")
-    parser.add_argument("--weak-fraction", type=float, default=WEAK_FRACTION,
-                        help="largest allowed weak-deviation move, as a fraction of weak_tol")
     parser.add_argument("path", nargs="?", help="snapshot file to write")
     args = parser.parse_args(argv)
     if args.compare:
-        return 0 if compare(*args.compare, args.time_bound, args.weak_fraction) else 1
+        return 0 if compare(*args.compare) else 1
     if args.path is None:
         parser.error("give a snapshot path or --compare BEFORE AFTER")
     snapshot(args.path)

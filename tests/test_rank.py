@@ -519,6 +519,44 @@ def test_fiber_row_and_search_deviations_equal_the_frame_route(eta, side):
     assert [e.weak_deviation for e in verdict.evidence] == searched
 
 
+class _RolledSampler:
+    """A sampler's states rolled by ``shift`` rows, to move the fiber row within a chunk."""
+
+    def __init__(self, sampler, shift):
+        self.sampler, self.shift = sampler, shift
+
+    def states(self, model):
+        P, W = self.sampler.states(model)
+        return np.roll(P, self.shift, axis=0), np.roll(W, self.shift, axis=0)
+
+
+@pytest.mark.parametrize("eta", [1.2, 0.6], ids=["berger1.2-upper", "berger0.6-upper"])
+def test_auto_deviations_equal_the_frame_route(eta):
+    # upper Berger(0.6): the Killing witness fails on every row, so each falls to the
+    # search on a frame sliced from the chunk's flow; upper Berger(1.2): it holds, and
+    # only the fiber row, rolled to the second row of its chunk, gets a frame
+    model = sr.normalize_to_bound(sr.BergerSphere(eta), "upper")
+    sampler = _RolledSampler(sr.GeodesicSampler(6, 3), 5)
+    P, W = sampler.states(model)
+    tol = rank_mod.DEFAULT_WEAK_TOL
+    bundle = rank_mod._bundle(model, P, W, math.pi, DEFAULT_STEP)
+    sols = rank_mod._propagate_bundle(bundle, with_second=True)
+    times, K = bundle["times"], bundle["K"]
+    killing, _ = rank_mod._killing_deviations(model, bundle["V"], tol)
+    assert math.isinf(killing[5]) and np.all(np.isfinite(killing[:5]))
+    killing[5] = np.max(np.abs(np.linalg.eigvalsh(K[:, 5]) - 1.0))
+    expected = [
+        min(killing[i], sr.weak_field_search(times, K[:, i], sols["M"][:, i],
+                                             sols["N"][:, i], tol)[0])
+        if killing[i] > tol else killing[i]
+        for i in range(len(P))
+    ]
+    assert (eta < 1) == all(d > tol for d in killing)
+    verdict = sr.check_weak_spherical_rank(model, "upper", sampler, method="auto", chunk=4)
+    assert [e.weak_deviation for e in verdict.evidence] == expected
+    assert [e.passes for e in verdict.evidence] == [d <= tol for d in expected]
+
+
 @pytest.mark.parametrize(
     "check, kwargs, name",
     [
