@@ -524,19 +524,16 @@ def main(argv=None):
         payload, table, summary, code = args.run(manifest, args)
         out = manifest["output"]
         csv_table = table() if out["path"] and out["format"] == "csv" else None
+        wall = time.perf_counter() - started
+        text = serialize_report(build_report(args.command, manifest, payload, summary, wall))
+        if csv_table is not None:
+            write_csv(out["path"], *csv_table)
+        elif out["path"]:
+            with open(out["path"], "w", encoding="utf-8") as fh:
+                fh.write(text)
     except Exception as exc:  # noqa: BLE001 - single CLI error boundary
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    wall = time.perf_counter() - started
-    report = build_report(args.command, manifest, payload, summary, wall)
-    text = serialize_report(report)
-    if out["path"]:
-        if csv_table is not None:
-            write_csv(out["path"], *csv_table)
-        else:
-            with open(out["path"], "w", encoding="utf-8") as fh:
-                fh.write(text)
     sys.stdout.write(text)
     return code
 

@@ -119,10 +119,11 @@ class RankEvidence:
 
     ``weak_deviation`` is max |sec(gamma', J) - 1| of the best field found,
     over the samples where |J| > tol (``excluded_samples`` counts the
-    others).  For the Killing witness it is read from the curvature tensor
-    at each sample, so it carries no frame's error; the other fields are
-    read through the frame's K.  On a failing geodesic the field
-    is the least-squares one of ``weak_field_search``, not a minimax optimum.
+    others), and inf when no field was found.  For the Killing field it is
+    read from the curvature tensor at each sample, so it carries no frame's
+    error; the parallel and searched fields are read through the frame's K.
+    On a failing geodesic the field is the least-squares one of
+    ``weak_field_search``, not a minimax optimum.
     """
 
     index: int
@@ -209,7 +210,7 @@ def _analyze(model, bundle, frame=True):
     ``hermite_midpoints``: the scheme of a single geodesic, so each row of a
     bundle at ``step`` is bit for bit the geodesic of ``geodesic_flow`` at
     ``2 * step``.  With ``frame=False`` the states and the frame are dropped
-    once K exists (the positive check reads only K).
+    once K exists (the rank checks read only K).
     """
     times, X, V = bundle["times"], bundle["X"], bundle["V"]
     E = frame_arrays(model, times, X, V, *hermite_midpoints(model, times, X, V))
@@ -401,12 +402,12 @@ def _sec_deviation(num, den, norms, tol):
     return np.max(np.where(included, dev, -np.inf), axis=0), np.sum(~included, axis=0)
 
 
-def _field_deviation(times, K, Y, tol):
+def _field_deviation(K, Y, tol):
     """Deviation of sec(gamma', J) from 1 for frame samples ``Y`` (T, k)."""
     norms = np.linalg.norm(Y, axis=-1)
     num = np.einsum("ti,tij,tj->t", Y, K, Y)
     worst, excluded = _sec_deviation(num, norms**2, norms, tol)
-    return (math.inf if excluded == len(times) else float(worst)), int(excluded)
+    return (math.inf if excluded == len(Y) else float(worst)), int(excluded)
 
 
 def weak_field_search(times, K, M, N, tol):
@@ -429,7 +430,7 @@ def weak_field_search(times, K, M, N, tol):
     C = np.einsum("tia,tib->ab", B, B)
     s = linalg.eigh(A, C, subset_by_index=[0, 0])[1][:, 0]
     s /= np.linalg.norm(s)
-    dev, excluded = _field_deviation(times, K, B @ s, tol)
+    dev, excluded = _field_deviation(K, B @ s, tol)
     return dev, excluded, s
 
 
@@ -448,17 +449,17 @@ def check_weak_spherical_rank(
 
     ``side`` states which curvature bound the model was normalized to; the
     model must already be normalized (the relevant exact bound equal to 1
-    within ``DEFAULT_CURV_TOL``, whatever ``tol``).  ``method`` selects the
-    witness: "auto" tries the closed-form witness and falls back to the
-    search, "witness" and "search" force one route.
+    within ``DEFAULT_CURV_TOL``, whatever ``tol``).
 
-    With a ``killing_direction`` (and not "search") the witness's
-    sec(gamma', J) is read from the curvature tensor along the flow, and a
-    frame, so K, is built only for the rows that need it, sliced from that
-    flow: a vertical row (J = 0; every plane through the velocity must then
-    be extremal, by the eigenvalues of K) and, under "auto", the rows left
-    to the search.  Otherwise every row has a frame and the witness is
-    ``spherical_witness`` on K.
+    Each chunk's flow is integrated once, and a row then runs one chain of
+    fields, each stage only while the deviation is still above ``tol``,
+    keeping the smallest deviation found: the normal part of the model's
+    Killing field (where ``killing_direction()`` exists), read from the
+    curvature tensor along the flow; the parallel field sin(t) c with
+    K c = c of ``spherical_witness``, on a frame and K sliced from that flow
+    for the rows still open; then ``weak_field_search``.  ``method`` "auto"
+    runs the whole chain, "witness" stops before the search, and "search"
+    runs the search alone.
     """
     _check_arguments(chunk, tol=tol)
     if side not in BOUNDS:
@@ -471,45 +472,39 @@ def check_weak_spherical_rank(
         raise ParameterError(
             f"model is not normalized: {side} bound is {bound:.9g}, expected 1"
         )
-    killing_witness = method != "search" and model.killing_direction() is not None
+    killing_stage = method != "search" and model.killing_direction() is not None
     prop_name = next(prop for prop, bound in WEAK_SIDES.items() if bound == side)
 
     P, W = sampler.states(model)
 
     def chunk_evidence(a, b):
-        if killing_witness:
-            flow = _flow(model, P[a:b], W[a:b], math.pi, step)
-            times = flow["times"]
-            dev, excluded = _killing_deviations(model, flow["V"], tol)
-            # K only where the witness vanishes or the search may follow
-            vertical = excluded == len(times)
-            rows = np.flatnonzero(vertical | ((dev > tol) & (method == "auto")))
-            flow["X"], flow["V"] = flow["X"][:, rows], flow["V"][:, rows]
-            bundle = _analyze(model, flow) if len(rows) else None
+        bundle = _flow(model, P[a:b], W[a:b], math.pi, step)
+        times = bundle["times"]
+        if killing_stage:
+            dev, excluded = _killing_deviations(model, bundle["V"], tol)
         else:
-            bundle = _bundle(model, P[a:b], W[a:b], math.pi, step)
-            times, rows = bundle["times"], range(b - a)
             dev, excluded = np.full(b - a, math.inf), np.zeros(b - a, dtype=int)
+        # a frame, so K, only for the rows the Killing field leaves open
+        rows = np.flatnonzero(dev > tol)
+        if len(rows):
+            bundle["X"], bundle["V"] = bundle["X"][:, rows], bundle["V"][:, rows]
+            _analyze(model, bundle, frame=False)
         sols = None  # propagated for the first geodesic that needs the search
+
+        def keep(i, found):
+            if found[0] < dev[i]:
+                dev[i], excluded[i] = found[:2]
+
         for j, i in enumerate(rows):
             K = bundle["K"][:, j]
-            if killing_witness:
-                if vertical[i]:
-                    # every plane through the velocity must be extremal
-                    dev[i] = np.max(np.abs(np.linalg.eigvalsh(K) - 1.0))
-            elif method != "search":
+            if method != "search":
                 hit = spherical_witness(K, max(tol, 1e-8))
                 if hit is not None:
-                    y = np.sin(times)[:, None] * hit[0]
-                    dev[i], excluded[i] = _field_deviation(times, K, y, tol)
+                    keep(i, _field_deviation(K, np.sin(times)[:, None] * hit[0], tol))
             if dev[i] > tol and method != "witness":
                 if sols is None:
                     sols = _propagate_bundle(bundle, with_second=True)
-                dev_s, excluded_s, _ = weak_field_search(
-                    times, K, sols["M"][:, j], sols["N"][:, j], tol
-                )
-                if dev_s < dev[i]:
-                    dev[i], excluded[i] = dev_s, excluded_s
+                keep(i, weak_field_search(times, K, sols["M"][:, j], sols["N"][:, j], tol))
         return [
             RankEvidence(
                 index=a + i,

@@ -12,10 +12,13 @@ each, and ``detect_events`` on 64 unnormalized geodesics of Berger(0.5) and
 Berger(1.2) to t = 7.9 and of CP^2 to 2 pi + 0.2.  It also holds the weak
 checks of acceptance criterion 6 (Killing witness on 100 geodesics, search
 on 10, for lower-normalized Berger(0.8) and upper-normalized Berger(1.2)),
-the witness check on 128 geodesics of upper-normalized Berger(1.2), and the
-sampler's initial states for Berger(0.8), Berger(0.8) scaled by 1.3, S^3
-and CP^2.  Event times, weak deviations and states are stored as
-``float.hex``.
+the witness check on 128 geodesics of upper-normalized Berger(1.2), and one
+weak check for each stage after the Killing field: "auto" on 32 geodesics
+of upper-normalized Berger(0.6), where every row falls to the search, and
+"auto" on 100 and "search" on 10 geodesics of upper-normalized CP^2, where
+the parallel field holds.  Last come the sampler's initial states for
+Berger(0.8), Berger(0.8) scaled by 1.3, S^3 and CP^2.  Event times, weak
+deviations and states are stored as ``float.hex``.
 
 The comparison prints, per case, "bit-identical", or each field that moved
 with its largest change and its bound.  Each field has its own rule:
@@ -105,12 +108,17 @@ def _raw(sr):
 def _weak(sr):
     lower = sr.normalize_to_bound(sr.BergerSphere(0.8), "lower")
     upper = sr.normalize_to_bound(sr.BergerSphere(1.2), "upper")
+    upper06 = sr.normalize_to_bound(sr.BergerSphere(0.6), "upper")
+    cp2 = sr.normalize_to_bound(sr.ComplexProjective(2), "upper")
     for name, model, side, count, seed, method in (
         ("Berger0.8l-witness", lower, "lower", 100, SEED, "witness"),
         ("Berger0.8l-search", lower, "lower", 10, SEED + 1, "search"),
         ("Berger1.2u-witness", upper, "upper", 100, SEED, "witness"),
         ("Berger1.2u-search", upper, "upper", 10, SEED + 1, "search"),
         ("Berger1.2u-witness128", upper, "upper", 128, SEED, "witness"),
+        ("Berger0.6u-auto", upper06, "upper", 32, SEED, "auto"),
+        ("CP2u-auto", cp2, "upper", 100, SEED, "auto"),
+        ("CP2u-search", cp2, "upper", 10, SEED + 1, "search"),
     ):
         verdict = sr.check_weak_spherical_rank(
             model, side, sr.GeodesicSampler(count, seed), method=method

@@ -398,6 +398,17 @@ def test_geodesic_command_trace(capsys, tmp_path):
     assert header == "t,p0,p1,p2,p3,v0,v1,v2,speed"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_unwritable_output_exits_2_with_an_error(capsys, tmp_path, fmt):
+    path = tmp_path / "missing" / f"x.{fmt}"
+    argv = ["geodesic", "--model", "round", "--horizon", "1.0", "--count", "4"]
+    code = cli.main(argv + ["--format", fmt, "--output", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(path) in captured.err
+
+
 # ---------------------------------------------------------------------------
 # the CLI reads its defaults, names and evidence fields from the library
 

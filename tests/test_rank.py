@@ -252,14 +252,15 @@ def test_weak_rank_search_agrees_with_witness():
 
 
 def test_weak_rank_vertical_geodesic_handled():
-    # the forced fiber direction has an identically-zero Killing witness;
-    # the isotropic-profile fallback must cover it
+    # the forced fiber direction has an identically-zero Killing field;
+    # the parallel field sin(t) c of the isotropic profile must cover it
     low = sr.normalize_to_bound(sr.BergerSphere(0.8), "lower")
     v = sr.check_weak_spherical_rank(low, "lower", sr.GeodesicSampler(2, 3))
     fiber = v.evidence[0]
     assert fiber.passes
-    # the witness vanishes at every sample
-    assert fiber.excluded_samples == len(time_grid(math.pi, 2 * DEFAULT_STEP))
+    # the field vanishes only where sin(t) does
+    times = time_grid(math.pi, 2 * DEFAULT_STEP)
+    assert fiber.excluded_samples == np.sum(np.abs(np.sin(times)) <= rank_mod.DEFAULT_WEAK_TOL)
 
 
 @pytest.mark.parametrize(
@@ -356,7 +357,7 @@ def test_verdict_determinism_across_runs():
 
 def test_each_chunk_is_released_before_the_next_is_built(monkeypatch):
     built = []
-    real = rank_mod._bundle
+    real = rank_mod._analyze
 
     def spy(*args, **kwargs):
         assert all(ref() is None for ref in built), "an earlier chunk's K is still alive"
@@ -364,7 +365,7 @@ def test_each_chunk_is_released_before_the_next_is_built(monkeypatch):
         built.append(weakref.ref(bundle["K"]))
         return bundle
 
-    monkeypatch.setattr(rank_mod, "_bundle", spy)
+    monkeypatch.setattr(rank_mod, "_analyze", spy)
     sampler = sr.GeodesicSampler(5, 3)
     m = sr.RoundSphere(2)
     assert sr.check_positive_spherical_rank(m, sampler, richardson=True, chunk=2).holds
@@ -486,7 +487,7 @@ def test_killing_witness_transports_a_frame_only_for_the_fiber_row(monkeypatch, 
     verdict = sr.check_weak_spherical_rank(up, "upper", sr.GeodesicSampler(6, 3), method=method,
                                            chunk=4)
     assert verdict.holds
-    # one transport, along the vertical row alone (J = 0 there, K is read by eigvalsh)
+    # one transport, along the vertical row alone (J = 0 there, the parallel field follows)
     assert len(rows) == 1 and rows[0].shape == (1, 3)
     assert np.array_equal(np.cross(rows[0][0], fiber), np.zeros(3))
     rows.clear()
@@ -506,7 +507,7 @@ def test_fiber_row_and_search_deviations_equal_the_frame_route(eta, side):
     bundle = rank_mod._bundle(model, P, W, math.pi, DEFAULT_STEP)
     sols = rank_mod._propagate_bundle(bundle, with_second=True)
     times, K = bundle["times"], bundle["K"]
-    fiber = float(np.max(np.abs(np.linalg.eigvalsh(K[:, 0]) - 1.0)))
+    fiber = _parallel_deviation(times, K[:, 0])
     searched = [
         sr.weak_field_search(times, K[:, i], sols["M"][:, i], sols["N"][:, i],
                              rank_mod.DEFAULT_WEAK_TOL)[0]
@@ -517,6 +518,15 @@ def test_fiber_row_and_search_deviations_equal_the_frame_route(eta, side):
         assert verdict.evidence[0].weak_deviation == fiber
     verdict = sr.check_weak_spherical_rank(model, side, sampler, method="search", chunk=4)
     assert [e.weak_deviation for e in verdict.evidence] == searched
+
+
+def _parallel_deviation(times, K):
+    """Deviation of the parallel field sin(t) c of ``spherical_witness`` on ``K``, inf if none."""
+    tol = rank_mod.DEFAULT_WEAK_TOL
+    hit = rank_mod.spherical_witness(K, tol)
+    if hit is None:
+        return math.inf
+    return rank_mod._field_deviation(K, np.sin(times)[:, None] * hit[0], tol)[0]
 
 
 class _RolledSampler:
@@ -533,8 +543,9 @@ class _RolledSampler:
 @pytest.mark.parametrize("eta", [1.2, 0.6], ids=["berger1.2-upper", "berger0.6-upper"])
 def test_auto_deviations_equal_the_frame_route(eta):
     # upper Berger(0.6): the Killing witness fails on every row, so each falls to the
-    # search on a frame sliced from the chunk's flow; upper Berger(1.2): it holds, and
-    # only the fiber row, rolled to the second row of its chunk, gets a frame
+    # parallel field and the search on a frame sliced from the chunk's flow; upper
+    # Berger(1.2): it holds, and only the fiber row, rolled to the second row of its
+    # chunk, gets a frame
     model = sr.normalize_to_bound(sr.BergerSphere(eta), "upper")
     sampler = _RolledSampler(sr.GeodesicSampler(6, 3), 5)
     P, W = sampler.states(model)
@@ -544,14 +555,19 @@ def test_auto_deviations_equal_the_frame_route(eta):
     times, K = bundle["times"], bundle["K"]
     killing, _ = rank_mod._killing_deviations(model, bundle["V"], tol)
     assert math.isinf(killing[5]) and np.all(np.isfinite(killing[:5]))
-    killing[5] = np.max(np.abs(np.linalg.eigvalsh(K[:, 5]) - 1.0))
-    expected = [
-        min(killing[i], sr.weak_field_search(times, K[:, i], sols["M"][:, i],
-                                             sols["N"][:, i], tol)[0])
-        if killing[i] > tol else killing[i]
-        for i in range(len(P))
-    ]
     assert (eta < 1) == all(d > tol for d in killing)
+
+    def chain(i):
+        # the Killing field, then the parallel field, then the search, while above tol
+        dev = killing[i]
+        if dev > tol:
+            dev = min(dev, _parallel_deviation(times, K[:, i]))
+        if dev > tol:
+            search = sr.weak_field_search(times, K[:, i], sols["M"][:, i], sols["N"][:, i], tol)
+            dev = min(dev, search[0])
+        return dev
+
+    expected = [chain(i) for i in range(len(P))]
     verdict = sr.check_weak_spherical_rank(model, "upper", sampler, method="auto", chunk=4)
     assert [e.weak_deviation for e in verdict.evidence] == expected
     assert [e.passes for e in verdict.evidence] == [d <= tol for d in expected]
