@@ -289,16 +289,17 @@ class BergerSphere(ManifoldModel):
     """Unit quaternions with the left-invariant metric diag(eta^2, 1, 1) on {i, j, k}.
 
     Tangent vectors are stored as coefficients in the left-invariant frame,
-    so the metric and curvature tensors are constant matrices.  Sectional
-    curvature is eta^2 on any plane containing the Hopf direction and
-    4 - 3 eta^2 on the plane {j, k}.
+    so the metric and curvature tensors are constant matrices, and the
+    geodesic and transport equations are products with constant tensors.
+    Sectional curvature is eta^2 on any plane containing the Hopf direction
+    and 4 - 3 eta^2 on the plane {j, k}.
     """
 
     eta: float
 
     def __post_init__(self):
-        if not (self.eta > 0):
-            raise ParameterError("BergerSphere eta must be positive")
+        if not 0 < self.eta < math.inf:  # NaN fails too
+            raise ParameterError(f"BergerSphere eta must be finite and positive, got {self.eta!r}")
 
     @property
     def dim(self):
@@ -344,19 +345,34 @@ class BergerSphere(ManifoldModel):
         # frame coefficients carry no constraint
         return u
 
+    @cached_property
+    def _velocity_tensor(self):
+        """The M_i, flattened, of x * (0, v) = x @ M(v), M(v) = sum_i v_i M_i;
+        row a of M_i is e_a * (0, e_i)."""
+        return ambient_from_body(np.eye(4), np.eye(3)[:, None]).reshape(3, 16)
+
+    @cached_property
+    def _euler_factors(self):
+        """(c, R) with 2 (g v x v) / g = (c v_0) (v @ R), as g v x v = (eta^2 - 1) v_0 e_0 x v."""
+        return 2.0 * (1.0 - self.eta**2), _cross3(np.eye(3), np.eye(3)[0])
+
+    @cached_property
+    def _transport_tensor(self):
+        """The C_i, flattened, of dw = w @ L(v), L(v) = sum_i v_i C_i; row k of C_i
+        is the derivative of the field e_k along the velocity e_i."""
+        g, v, w = self.metric_weights, np.eye(3)[:, None], np.eye(3)
+        return (-_cross3(v, w) + (_cross3(g * w, v) + _cross3(g * v, w)) / g).reshape(3, 9)
+
     def state_rhs(self, x, v):
-        """Quaternion velocity and the reduced (Euler) equation on the frame coefficients."""
-        g = self.metric_weights
-        return ambient_from_body(x, v), 2.0 * _cross3(g * v, v) / g
+        """Quaternion velocity x @ M(v) and the reduced (Euler) equation on the
+        frame coefficients, whose Hopf component is exactly 0."""
+        M = (v @ self._velocity_tensor).reshape(v.shape[:-1] + (4, 4))
+        c, R = self._euler_factors
+        return (x[..., None, :] @ M)[..., 0, :], (c * v[..., :1]) * (v @ R)
 
     def transport_rhs(self, w, x, v):
-        g = self.metric_weights
-        return -_cross3(v, w) + (_cross3(g * w, v) + _cross3(g * v, w)) / g
-
-    def transport_coeffs(self, X, V, m):
-        # v in the frame's shape: products of equal shapes run as one flat
-        # loop, where a broadcast iterates 3-element rows
-        return X[..., None, :], np.repeat(V[..., None, :], m, axis=-2)
+        """w @ L(v): the derivative is bilinear in (v, w), and ``v`` has one row."""
+        return w @ (v @ self._transport_tensor).reshape(v.shape[:-2] + (3, 3))
 
     def special_directions(self):
         """The Hopf fiber ``i`` and the horizontal ``j`` at the identity."""
@@ -479,8 +495,8 @@ class Scaled(ManifoldModel):
     lam: float
 
     def __post_init__(self):
-        if not (self.lam > 0):
-            raise ParameterError("Scaled factor must be positive")
+        if not 0 < self.lam < math.inf:  # NaN fails too
+            raise ParameterError(f"Scaled lam must be finite and positive, got {self.lam!r}")
         if not isinstance(self.base, ManifoldModel):
             raise ParameterError("Scaled base must be a manifold model")
 

@@ -299,6 +299,22 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
             assert key in err, (manifest, err)
 
 
+def test_non_finite_model_parameters_exit_2(capsys, tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(
+        {"model": {"kind": "scaled", "lam": math.inf, "base": {"kind": "round", "dim": 3}}}
+    ))
+    cases = [(["geodesic", "--model", "berger", "--eta", "inf", "--direction", "fiber",
+               "--horizon", "1"], "eta"),
+             (["berger-report", "--etas", "inf", "--count", "4"], "eta"),
+             (["scan-curvature", "--count", "8", "--manifest", str(path)], "lam")]
+    for argv, field in cases:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == "" and field in captured.err, (argv, captured.err)
+
+
 def test_sample_index_outside_the_sampler_exits_2(capsys):
     # "sample--1" must not wrap round to the last draw, nor "sampleXYZ" read as "sample"
     cases = [("sample--1", 2), ("sample-4", 2), ("sample-3", 0)]

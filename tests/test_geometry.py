@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -288,6 +290,17 @@ def test_model_parameter_validation():
         sr.ComplexProjective(0)
     with pytest.raises(sr.ParameterError):
         sr.Scaled(sr.RoundSphere(2), -1.0)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize(
+    "build, field",
+    [(sr.BergerSphere, "eta"), (lambda lam: sr.Scaled(sr.RoundSphere(2), lam), "lam")],
+    ids=["berger", "scaled"],
+)
+def test_non_finite_model_parameters_are_rejected(build, field, value):
+    with pytest.raises(sr.ParameterError, match=field):
+        build(value)
 
 
 def test_pair_inner_matches_pointwise():

@@ -1,6 +1,7 @@
 """Invariants of the integration pipeline that the closed-form suites do not pin:
 off-grid parallel transport, per-geodesic health numbers in bundle views,
-bit-identical verdicts across chunk sizes, and the explicit Berger kernels."""
+bit-identical verdicts across chunk sizes, and the Berger kernels, matrix
+products that agree with the np.cross formulas to rounding."""
 
 import math
 
@@ -14,6 +15,7 @@ from sphererank import rank as rank_mod
 from sphererank.geometry import _cross3, ambient_from_body, pair_inner, quat_mul
 
 SEED = 20240809
+EPS = np.finfo(float).eps
 
 
 def _flow(model, p, v, horizon):
@@ -110,7 +112,7 @@ def test_results_bit_identical_across_chunk_sizes():
 
 
 # ---------------------------------------------------------------------------
-# explicit Berger kernels against the np.cross formulas
+# Berger matrix kernels against the np.cross formulas
 
 
 def _unit_quaternions(rng, shape):
@@ -129,20 +131,31 @@ def test_cross3_is_bitwise_np_cross(shape_a, shape_b):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def _close_to(got, want):
+    """Equal up to rounding: within 8 ulps of the largest reference entry."""
+    return np.all(np.abs(got - want) <= 8 * EPS * np.abs(want).max())
+
+
 def test_berger_rhs_equal_np_cross_formulas():
     rng = np.random.default_rng(SEED)
     model = sr.BergerSphere(1.2)
     g = model.metric_weights
     x, v = _unit_quaternions(rng, (64,)), rng.normal(size=(64, 3))
-    _, dv = model.state_rhs(x, v)
-    assert np.all(dv == 2.0 * np.cross(g * v, v) / g)
+    dx, dv = model.state_rhs(x, v)
+    assert _close_to(dx, ambient_from_body(x, v))
+    assert _close_to(dv, 2.0 * np.cross(g * v, v) / g)
+    # what the formulas do not pin: the Euler term leaves the Hopf component
+    # alone, dx is tangent to the unit sphere and the flow keeps the speed
+    assert np.all(dv[..., 0] == 0)
+    assert np.all(np.abs(np.vecdot(x, dx)) <= 8 * EPS * np.linalg.norm(dx, axis=-1))
+    assert np.all(np.abs(model.inner(v, dv)) <= 8 * EPS * model.inner(np.abs(v), np.abs(dv)))
 
     scaled = sr.Scaled(sr.BergerSphere(0.5), 1.7)
     g = scaled.base.metric_weights
     x, v = _unit_quaternions(rng, (64, 1)), rng.normal(size=(64, 1, 3))
     w = rng.normal(size=(64, 2, 3))
     want = -np.cross(v, w) + (np.cross(g * w, v) + np.cross(g * v, w)) / g
-    assert np.all(scaled.transport_rhs(w, x, v) == want)
+    assert _close_to(scaled.transport_rhs(w, x, v), want)
 
 
 @pytest.mark.parametrize("shape", [(64,), ()])

@@ -397,8 +397,9 @@ def _verdict_digest(verdict):
     # horizons pi + 0.05 + 1e-6 and 4.2505: the analysis grids of the step and
     # of its Richardson half (spacings 2e-3 and 1e-3) both end in a short
     # interval, 1.6e-3 and 5.9e-4 long here and 5e-4 on both there
-    [(sr.RoundSphere(4), None), (sr.Scaled(sr.ComplexProjective(2), 1.3), 4.2005)],
-    ids=["round4", "cp2-scaled"],
+    [(sr.RoundSphere(4), None), (sr.Scaled(sr.ComplexProjective(2), 1.3), 4.2005),
+     (sr.normalize_to_bound(sr.BergerSphere(1.2), "upper"), 4.2005)],
+    ids=["round4", "cp2-scaled", "berger1.2-upper"],
 )
 def test_chunk_size_is_bitwise_invisible_with_richardson(model, window):
     sampler = sr.GeodesicSampler(5, 20240809)
