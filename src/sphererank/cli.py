@@ -24,7 +24,7 @@ import scipy
 
 from . import __version__
 from .errors import ParameterError
-from .geodesics import DEFAULT_STEP, GeodesicState, geodesic_flow, normal_frame
+from .geodesics import GeodesicState, geodesic_flow, model_step, normal_frame
 from .geometry import (
     BergerSphere,
     ComplexProjective,
@@ -57,7 +57,7 @@ DEFAULT_MANIFEST = {
     "model": {"kind": "round", "dim": 3},
     "normalization": "none",
     "sampler": {"count": 200, "seed": 12345, "stratification": GeodesicSampler.stratification},
-    "integrator": {"step": DEFAULT_STEP, "horizon": 3.5},
+    "integrator": {"step": None, "horizon": 3.5},
     "tolerances": {
         "time_tol": DEFAULT_TIME_TOL,
         "rank_tol": DEFAULT_RANK_TOL,
@@ -99,7 +99,7 @@ _FLAGS = {
     "--count": _Flag("sampler.count", {"type": int}),
     "--seed": _Flag("sampler.seed", {"type": int}),
     "--stratification": _Flag("sampler.stratification", {"choices": STRATIFICATIONS}),
-    "--step": _Flag("integrator.step", {"type": float}),
+    "--step": _Flag("integrator.step", {"type": float, "help": "default: the model's step"}),
     "--horizon": _Flag("integrator.horizon", {"type": float}),
     "--time-tol": _Flag("tolerances.time_tol", {"type": float}),
     "--rank-tol": _Flag("tolerances.rank_tol", {"type": float}),
@@ -152,6 +152,8 @@ def validate_manifest(manifest):
     _whole(samp["seed"], "sampler.seed")
     integ = manifest["integrator"]
     for key in ("step", "horizon"):
+        if key == "step" and integ[key] is None:
+            continue  # the model's step
         if not (_real(integ[key], f"integrator.{key}") > 0):
             raise ParameterError(f"integrator {key} must be positive")
     for key, val in manifest["tolerances"].items():
@@ -210,6 +212,13 @@ def resolve_model(manifest):
     if manifest["normalization"] != "none":
         model = normalize_to_bound(model, manifest["normalization"])
     return model
+
+
+def _step(manifest, model):
+    """The integrator step that runs on ``model``, written into the manifest when null."""
+    if manifest["integrator"]["step"] is None:
+        manifest["integrator"]["step"] = model_step(model)
+    return float(manifest["integrator"]["step"])
 
 
 def _sampler(manifest):
@@ -341,7 +350,7 @@ def cmd_geodesic(manifest, args):
     model = resolve_model(manifest)
     integ = manifest["integrator"]
     initial = resolve_initial(model, manifest, args.direction)
-    traj = geodesic_flow(model, initial, float(integ["horizon"]), float(integ["step"]))
+    traj = geodesic_flow(model, initial, float(integ["horizon"]), _step(manifest, model))
     closure = model.point_distance(traj.points[-1], traj.points[0])
     payload = {
         "initial_point": initial.point.coordinates,
@@ -374,7 +383,7 @@ def cmd_conjugate(manifest, args):
     tols = manifest["tolerances"]
     initial = resolve_initial(model, manifest, args.direction)
     horizon = float(integ["horizon"])
-    traj = geodesic_flow(model, initial, horizon, float(integ["step"]))
+    traj = geodesic_flow(model, initial, horizon, _step(manifest, model))
     frame = normal_frame(traj)
     profile = curvature_profile(traj, frame)
     prop = jacobi_propagate(profile)
@@ -398,7 +407,7 @@ def cmd_rank(manifest, args):
     model = resolve_model(manifest)
     tols = manifest["tolerances"]
     sampler = _sampler(manifest)
-    step = float(manifest["integrator"]["step"])
+    step = _step(manifest, model)
     if args.property == POSITIVE_SPHERICAL:
         verdict = check_positive_spherical_rank(
             model,
@@ -436,7 +445,7 @@ def cmd_berger_report(manifest, args):
     if not etas:
         raise ParameterError("berger-report requires a non-empty eta list")
     sampler = _sampler(manifest)
-    step = float(manifest["integrator"]["step"])
+    step = manifest["integrator"]["step"]  # null: each model runs at its own step
     tols = {key: float(value) for key, value in manifest["tolerances"].items()}
     rows = berger_report(etas, sampler, step=step, scan_samples=sampler.count, **tols)
     dicts = [r.as_dict() for r in rows]

@@ -14,6 +14,7 @@ derivatives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,13 +22,20 @@ import numpy as np
 from .errors import DomainError, ParameterError
 from .geometry import ManifoldModel, Point, Tangent, make_point
 
-# the largest doubling of 1e-3 that keeps every verdict bound 100x clear of the
+# the default step where |sec| <= 1: every verdict bound stays far clear of the
 # measured error (README, "Step and accuracy"; tests/step_sweep.py)
-DEFAULT_STEP = 2e-3
+UNIT_STEP = 3.6e-3
 UNIT_SPEED_TOL = 1e-8
 # per block: intervals of the flow midpoints, samples of the curvature profile,
 # components of its midpoints
 PROFILE_BLOCK = 64
+
+
+def model_step(model):
+    """The default step on ``model``: ``UNIT_STEP / sqrt(max(1, |sec_min|, |sec_max|))``
+    from its exact curvature bounds, as Jacobi fields turn at frequency sqrt(K)."""
+    lo, hi = model.curvature_bounds()
+    return UNIT_STEP / math.sqrt(max(1.0, abs(lo), abs(hi)))
 
 
 def time_grid(horizon, step):
@@ -199,8 +207,10 @@ class Trajectory:
         return GeodesicState(p, Tangent(p, v[0]))
 
 
-def geodesic_flow(model, initial, horizon, step=DEFAULT_STEP):
-    """Integrate the geodesic through ``initial`` for the given arc length."""
+def geodesic_flow(model, initial, horizon, step=None):
+    """Integrate the geodesic through ``initial`` for the given arc length, at
+    ``step`` (``model_step(model)`` when None)."""
+    step = model_step(model) if step is None else step
     times = time_grid(horizon, step)
     x0 = initial.point.coordinates
     v0 = initial.velocity.components
@@ -212,16 +222,17 @@ def geodesic_flow(model, initial, horizon, step=DEFAULT_STEP):
     return Trajectory(model, times, X, V, float(step))
 
 
-def exp_map(model, p, v, step=DEFAULT_STEP):
+def exp_map(model, p, v, step=None):
     """Endpoint of the geodesic from ``p`` with initial vector ``v``.
 
     The geodesic runs for arc length ``|v|_g`` with unit initial velocity
-    ``v / |v|_g``; a zero vector maps to ``p`` itself.
+    ``v / |v|_g``, at ``step`` (``model_step(model)`` when None) but at least
+    8 steps; a zero vector maps to ``p`` itself.
     """
     length = float(np.sqrt(model.inner(v.components, v.components)))
     if length < 1e-14:
         return p
-    h = min(step, length / 8.0)
+    h = min(model_step(model) if step is None else step, length / 8.0)
     unit = Tangent(p, v.components / length)
     traj = geodesic_flow(model, GeodesicState(p, unit), length, h)
     return make_point(model, traj.points[-1])

@@ -23,13 +23,13 @@ from scipy import linalg
 
 from .errors import DomainError, NormalizationError, ParameterError
 from .geodesics import (
-    DEFAULT_STEP,
     PROFILE_BLOCK,
     GeodesicState,
     flow_arrays,
     frame_arrays,
     geodesic_flow,
     hermite_midpoints,
+    model_step,
     time_grid,
 )
 from .geometry import (
@@ -258,7 +258,7 @@ def check_positive_spherical_rank(
     time_tol=DEFAULT_TIME_TOL,
     curv_tol=DEFAULT_CURV_TOL,
     *,
-    step=DEFAULT_STEP,
+    step=None,
     event_window=None,
     richardson=False,
     rank_tol=DEFAULT_RANK_TOL,
@@ -269,9 +269,10 @@ def check_positive_spherical_rank(
     A geodesic passes when it has a conjugate event within ``time_tol`` of pi
     and none earlier.  Requires sectional curvature at most 1 + ``curv_tol``;
     a violated bound yields the distinct "precondition-failed" status rather
-    than ``holds = False``.
+    than ``holds = False``.  ``step`` None takes ``model_step(model)``.
     """
     _check_arguments(chunk, time_tol=time_tol, curv_tol=curv_tol, rank_tol=rank_tol)
+    step = model_step(model) if step is None else step
 
     def unmet(what, sec):
         detail = f"{what} {sec:.9g} exceeds 1 + {curv_tol:g}"
@@ -440,7 +441,7 @@ def check_weak_spherical_rank(
     sampler,
     tol=DEFAULT_WEAK_TOL,
     *,
-    step=DEFAULT_STEP,
+    step=None,
     method="auto",
     chunk=DEFAULT_CHUNK,
 ):
@@ -459,9 +460,10 @@ def check_weak_spherical_rank(
     K c = c of ``spherical_witness``, on a frame and K sliced from that flow
     for the rows still open; then ``weak_field_search``.  ``method`` "auto"
     runs the whole chain, "witness" stops before the search, and "search"
-    runs the search alone.
+    runs the search alone.  ``step`` None takes ``model_step(model)``.
     """
     _check_arguments(chunk, tol=tol)
+    step = model_step(model) if step is None else step
     if side not in BOUNDS:
         raise ParameterError(f"side must be one of {BOUNDS}")
     if method not in ("auto", "witness", "search"):
@@ -553,7 +555,7 @@ class BergerReportRow:
         return asdict(self)
 
 
-def measure_fiber_time(eta, step=DEFAULT_STEP):
+def measure_fiber_time(eta, step=None):
     """Arc length at which the integrated Hopf-fiber geodesic first closes up.
 
     With u0 the initial ambient velocity, f = <q, u0> is sin(t / eta) / eta
@@ -562,9 +564,10 @@ def measure_fiber_time(eta, step=DEFAULT_STEP):
     from ``state_rhs``) in the grid cell where f changes sign, an eigenvalue
     of the companion pencil of ``_singular_times`` (the scalar case, k = 1).
     Only the flow's own error is left.  ``DomainError`` if the cell holds no
-    root or more than one.
+    root or more than one.  ``step`` None takes ``model_step(BergerSphere(eta))``.
     """
     model = BergerSphere(eta)
+    step = model_step(model) if step is None else step
     q0, w = model.special_directions()["fiber"]
     p0, period = Point(q0), 2.0 * math.pi * eta
     initial = GeodesicState(p0, Tangent(p0, w / math.sqrt(float(model.inner(w, w)))))
@@ -582,18 +585,17 @@ def measure_fiber_time(eta, step=DEFAULT_STEP):
     return float(roots[0])
 
 
-def berger_report(etas, sampler, *, step=DEFAULT_STEP, scan_samples=10000,
+def berger_report(etas, sampler, *, step=None, scan_samples=10000,
                   time_tol=DEFAULT_TIME_TOL, curv_tol=DEFAULT_CURV_TOL,
                   rank_tol=DEFAULT_RANK_TOL, weak_tol=DEFAULT_WEAK_TOL):
     """Survey rows for a list of Berger parameters (curvature range, fiber
-    closure time, and the three rank verdicts at the given tolerances)."""
+    closure time, and the three rank verdicts at the given tolerances); with
+    ``step`` None each stage runs at the ``model_step`` of its own model."""
     etas = list(etas)
     if not etas:
         raise ParameterError("eta list must not be empty")
     rows = []
     for eta in etas:
-        if eta <= 0:
-            raise ParameterError("eta must be positive")
         model = BergerSphere(eta)
         lo, hi = curvature_bounds(model)
         scan = curvature_scan(model, scan_samples, 0)

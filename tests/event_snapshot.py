@@ -96,7 +96,7 @@ def _raw(sr):
         ("CP2raw", sr.ComplexProjective(2), 2 * math.pi + 0.2),
     ):
         P, W = sr.GeodesicSampler(64, SEED).states(model)
-        bundle = rank._bundle(model, P, W, horizon, rank.DEFAULT_STEP, frame=False)
+        bundle = rank._bundle(model, P, W, horizon, rank.model_step(model), frame=False)
         sols = rank._propagate_bundle(bundle)
         geodesics = []
         for b in range(len(P)):

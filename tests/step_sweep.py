@@ -2,8 +2,9 @@
 
     PYTHONPATH=src python tests/step_sweep.py [--count 16] [--seed 7]
 
-For the steps 1e-3, 2e-3, 4e-3 and 8e-3 it measures, on ``count`` seeded
-geodesics:
+For the fixed steps 1e-3, 2e-3, 4e-3 and 8e-3, and at the model step (the
+default: ``model_step`` of each case's model, ``UNIT_STEP / sqrt(max(1,
+|sec|))``), it measures, on ``count`` seeded geodesics:
 
 * the positive check with Richardson on S^4 and on upper-normalized CP^2,
   Berger(1.2) and Berger(2): the largest Richardson gap (bound
@@ -17,7 +18,7 @@ geodesics:
 
 It prints one markdown table: a row per measured quantity, a column per
 step, each cell the error and the wall time of its run.
-``tests/test_step_budget.py`` holds the errors at ``DEFAULT_STEP`` 100x
+``tests/test_step_budget.py`` holds the errors at the model step 100x
 inside their bounds with these functions.  pytest does not collect this file.
 """
 
@@ -28,7 +29,9 @@ import time
 import sphererank as sr
 from sphererank.rank import DEFAULT_TIME_TOL, DEFAULT_WEAK_TOL, RICHARDSON_AGREEMENT
 
-STEPS = (1e-3, 2e-3, 4e-3, 8e-3)
+# a step of None is each model's own, the step the checks take by default
+MODEL_STEP = None
+STEPS = (1e-3, 2e-3, 4e-3, 8e-3, MODEL_STEP)
 FIBER_ETAS = (0.3, 0.5, 0.8, 1.0, 1.2, 2.0)
 FIBER_TIME_BOUND = 1e-10
 
@@ -92,7 +95,8 @@ def main(argv=None):
     parser.add_argument("--count", type=int, default=16, help="geodesics per check")
     parser.add_argument("--seed", type=int, default=7, help="sampler seed")
     args = parser.parse_args(argv)
-    print(f"| quantity | bound | {' | '.join(f'step {h:g}' for h in STEPS)} |")
+    labels = ("model step" if h is MODEL_STEP else f"step {h:g}" for h in STEPS)
+    print(f"| quantity | bound | {' | '.join(labels)} |")
     print(f"|---|---|{'---|' * len(STEPS)}")
     for quantity, bound, cells in sweep(args.count, args.seed):
         text = " | ".join(f"{err:.2g} ({wall:.2f} s)" for err, wall in cells)

@@ -30,7 +30,36 @@ def test_manifest_defaults_and_overrides(tmp_path):
     assert m["model"] == {"kind": "berger", "eta": 0.9}
     assert m["sampler"]["count"] == 7
     assert m["sampler"]["seed"] == 99
-    assert m["integrator"]["step"] == 2e-3
+    assert m["integrator"]["step"] is None
+
+
+def test_null_step_is_the_model_step(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"integrator": {"step": None}}))
+    assert cli.load_manifest(str(path))["integrator"]["step"] is None
+    assert cli.load_manifest(str(path), {"integrator.step": 0.01})["integrator"]["step"] == 0.01
+    for bad in (True, 0, math.nan):
+        path.write_text(json.dumps({"integrator": {"step": bad}}))
+        assert cli.main(["scan-curvature", "--count", "8", "--manifest", str(path)]) == 2
+        assert "step" in capsys.readouterr().err
+    # the report's manifest shows the step that ran: the model's step unless --step is given
+    path.write_text(json.dumps({"integrator": {"step": None}}))
+    berger = ["--model", "berger", "--eta", "0.5"]
+    low = sr.normalize_to_bound(sr.BergerSphere(0.5), "lower")
+    for argv, step in (
+        (["geodesic", *berger, "--horizon", "1"], sr.model_step(sr.BergerSphere(0.5))),
+        (["conjugate", *berger, "--horizon", "1"], sr.model_step(sr.BergerSphere(0.5))),
+        (["rank", "--property", "weak-lower", *berger, "--normalization", "lower"],
+         sr.model_step(low)),
+        (["geodesic", *berger, "--horizon", "1", "--step", "0.01"], 0.01),
+    ):
+        code, report = _run(capsys, argv + ["--count", "2", "--manifest", str(path)])
+        assert code == 0, argv
+        assert report["manifest"]["integrator"]["step"] == step, argv
+    # berger-report runs each of its models at its own step, so the manifest keeps null
+    code, report = _run(capsys, ["berger-report", "--etas", "1.2", "--count", "2"])
+    assert code == 0
+    assert report["manifest"]["integrator"]["step"] is None
 
 
 def test_manifest_rejects_unknown_keys(tmp_path):

@@ -19,9 +19,9 @@ SEED = 20240809
 CHUNK = 16
 
 
-def _bundle(model, horizon, count=CHUNK, step=rank_mod.DEFAULT_STEP):
+def _bundle(model, horizon, count=CHUNK):
     P, W = sr.GeodesicSampler(count, SEED).states(model)
-    bundle = rank_mod._bundle(model, P, W, horizon, step, frame=False)
+    bundle = rank_mod._bundle(model, P, W, horizon, sr.model_step(model), frame=False)
     sols = rank_mod._propagate_bundle(bundle)
     views = [row_views(model, bundle, sols, b)[1] for b in range(count)]
     return rank_mod._bundle_propagator(bundle, sols), views

@@ -7,6 +7,7 @@ import closed_forms as cf
 import sphererank as sr
 from sphererank import geodesics as geodesics_mod
 from sphererank.geodesics import (
+    UNIT_STEP,
     _rk4,
     flow_arrays,
     hermite_midpoints,
@@ -42,6 +43,35 @@ def test_time_grid():
     m = sr.RoundSphere(2)
     with pytest.raises(sr.ParameterError):
         sr.geodesic_flow(m, _state(m, [0, 0, 1], [1, 0, 0]), 1.0, math.nan)
+
+
+@pytest.mark.parametrize(
+    "model, step",
+    [
+        (sr.RoundSphere(5), UNIT_STEP),
+        (sr.ComplexProjective(2), UNIT_STEP),  # sec in [1/4, 1]
+        (sr.normalize_to_bound(sr.BergerSphere(0.5), "lower"), UNIT_STEP / math.sqrt(13)),
+        (sr.BergerSphere(2.0), UNIT_STEP / math.sqrt(8)),  # sec in [-8, 4]
+        (sr.Scaled(sr.RoundSphere(3), 0.1), UNIT_STEP / 10),
+    ],
+    ids=["S5", "CP2", "berger0.5-lower", "berger2", "scaled0.1"],
+)
+def test_model_step_is_the_unit_step_over_the_root_of_the_curvature_scale(model, step):
+    assert sr.model_step(model) == pytest.approx(step, rel=1e-14)
+
+
+def test_default_step_is_the_model_step():
+    m = sr.BergerSphere(0.5)  # sec up to 13/4
+    initial = _state(m, [1, 0, 0, 0], _unit(m, [1, 0, 0, 0], [0.3, 1.0, -0.2]))
+    default = sr.geodesic_flow(m, initial, 1.0)
+    explicit = sr.geodesic_flow(m, initial, 1.0, sr.model_step(m))
+    assert default.step == sr.model_step(m) < UNIT_STEP
+    assert np.array_equal(default.times, explicit.times)
+    assert np.array_equal(default.points, explicit.points)
+    assert np.array_equal(default.velocities, explicit.velocities)
+    v = sr.Tangent(initial.point, 2.5 * initial.velocity.components)
+    assert np.array_equal(sr.exp_map(m, initial.point, v).coordinates,
+                          sr.exp_map(m, initial.point, v, sr.model_step(m)).coordinates)
 
 
 def test_round_sphere_antipode():

@@ -6,7 +6,7 @@ import pytest
 
 import sphererank as sr
 from sphererank import rank as rank_mod
-from sphererank.geodesics import DEFAULT_STEP, time_grid
+from sphererank.geodesics import UNIT_STEP, model_step, time_grid
 from sphererank.geometry import unwrap
 
 
@@ -259,7 +259,7 @@ def test_weak_rank_vertical_geodesic_handled():
     fiber = v.evidence[0]
     assert fiber.passes
     # the field vanishes only where sin(t) does
-    times = time_grid(math.pi, 2 * DEFAULT_STEP)
+    times = time_grid(math.pi, 2 * model_step(low))
     assert fiber.excluded_samples == np.sum(np.abs(np.sin(times)) <= rank_mod.DEFAULT_WEAK_TOL)
 
 
@@ -298,6 +298,33 @@ def test_weak_rank_search_still_rejects_berger_half():
     v = sr.check_weak_spherical_rank(up, "upper", sr.GeodesicSampler(12, 5), method="search")
     assert not v.holds
     assert not any(e.passes for e in v.evidence)
+
+
+def _evidence_bits(verdict):
+    return [
+        ([(ev.time.hex(), ev.multiplicity) for ev in e.events], e.passes, e.richardson_gap,
+         e.certificate_deviation, e.weak_deviation, e.excluded_samples)
+        for e in verdict.evidence
+    ]
+
+
+def test_checks_default_to_the_model_step():
+    # upper Berger(2) has sec down to -2, lower Berger(0.8) up to 3.25: both
+    # run below UNIT_STEP, and the default must be the explicit model step bit for bit
+    sampler = sr.GeodesicSampler(4, 3)
+    up = sr.normalize_to_bound(sr.BergerSphere(2.0), "upper")
+    low = sr.normalize_to_bound(sr.BergerSphere(0.8), "lower")
+    for check, model, args in (
+        (sr.check_positive_spherical_rank, up, {"richardson": True}),
+        (sr.check_weak_spherical_rank, low, {"side": "lower"}),
+    ):
+        assert model_step(model) < UNIT_STEP
+        default = check(model, sampler=sampler, **args)
+        explicit = check(model, sampler=sampler, step=model_step(model), **args)
+        assert default.detail == explicit.detail
+        assert _evidence_bits(default) == _evidence_bits(explicit)
+    fiber = sr.BergerSphere(0.5)
+    assert sr.measure_fiber_time(0.5) == sr.measure_fiber_time(0.5, model_step(fiber))
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +532,7 @@ def test_fiber_row_and_search_deviations_equal_the_frame_route(eta, side):
     model = sr.normalize_to_bound(sr.BergerSphere(eta), side)
     sampler = sr.GeodesicSampler(6, 3)
     P, W = sampler.states(model)
-    bundle = rank_mod._bundle(model, P, W, math.pi, DEFAULT_STEP)
+    bundle = rank_mod._bundle(model, P, W, math.pi, model_step(model))
     sols = rank_mod._propagate_bundle(bundle, with_second=True)
     times, K = bundle["times"], bundle["K"]
     fiber = _parallel_deviation(times, K[:, 0])
@@ -551,7 +578,7 @@ def test_auto_deviations_equal_the_frame_route(eta):
     sampler = _RolledSampler(sr.GeodesicSampler(6, 3), 5)
     P, W = sampler.states(model)
     tol = rank_mod.DEFAULT_WEAK_TOL
-    bundle = rank_mod._bundle(model, P, W, math.pi, DEFAULT_STEP)
+    bundle = rank_mod._bundle(model, P, W, math.pi, model_step(model))
     sols = rank_mod._propagate_bundle(bundle, with_second=True)
     times, K = bundle["times"], bundle["K"]
     killing, _ = rank_mod._killing_deviations(model, bundle["V"], tol)
