@@ -312,31 +312,28 @@ def initial_normal_frame(model, x0, v0):
     """Index-ordered Gram-Schmidt of the coordinate basis against gamma'(0).
 
     Returns an array of shape (..., dim-1, tangent_dim) of g-orthonormal
-    vectors orthogonal to ``v0``.
+    vectors orthogonal to ``v0``.  The rows run in lockstep, each with dim
+    slots (the first holds the unit velocity): every candidate is taken
+    against every slot, an unfilled one being zero, and fills a row's next
+    slot where its norm is left above 1e-8 and the row has room.
     """
-    single = x0.ndim == 1
-    xb = x0[None] if single else x0
-    vb = v0[None] if single else v0
-    B = xb.shape[0]
+    xb, vb = np.atleast_2d(x0, v0)
     k = model.dim - 1
+    slots = np.zeros((len(xb), k + 1, model.tangent_dim))
+    slots[:, 0] = vb / np.sqrt(model.inner(vb, vb))[:, None]
+    filled = np.ones(len(xb), dtype=int)
     cands = model.tangent_basis(xb)
-    out = np.empty((B, k, model.tangent_dim))
-    for b in range(B):
-        speed = np.sqrt(float(model.inner(vb[b], vb[b])))
-        basis = [vb[b] / speed]
-        for m in range(cands.shape[-2]):
-            w = np.array(cands[b, m], dtype=float)
-            for e in basis:
-                w = w - float(model.inner(w, e)) * e
-            nrm = np.sqrt(float(model.inner(w, w)))
-            if nrm > 1e-8:
-                basis.append(w / nrm)
-            if len(basis) == k + 1:
-                break
-        if len(basis) != k + 1:
-            raise DomainError("could not complete a normal frame at the base point")
-        out[b] = np.stack(basis[1:])
-    return out[0] if single else out
+    for m in range(cands.shape[-2]):
+        w = np.array(cands[:, m], dtype=float)
+        for e in np.moveaxis(slots, 1, 0):
+            w = w - model.inner(w, e)[:, None] * e
+        nrm = np.sqrt(model.inner(w, w))
+        take = (nrm > 1e-8) & (filled <= k)
+        slots[take, filled[take]] = w[take] / nrm[take, None]
+        filled += take
+    if np.any(filled <= k):
+        raise DomainError("could not complete a normal frame at the base point")
+    return slots[0, 1:] if x0.ndim == 1 else slots[:, 1:]
 
 
 def frame_arrays(model, times, X, V, Xm, Vm):

@@ -442,20 +442,19 @@ class SphericalFieldCertificate:
     coefficients: np.ndarray
 
 
-def spherical_witness(K, tol):
-    """Constant unit coefficient vector c with K(t) c = c within ``tol``, or None.
+def spherical_witness(K):
+    """Constant unit coefficient vectors c with K(t) c = c, one per geodesic.
 
-    Returns (c, deviation, eigenvector_residual) where deviation is
-    max_t |c^T K(t) c - 1|.
+    ``K`` has shape (T, ..., k, k).  Each c, of shape (..., k), is the lowest
+    eigenvector of the mean of (K - I)^2 over the samples, all read with one
+    stacked ``eigh``.  Returns (c, deviation, residual), where deviation is
+    max_t |c^T K(t) c - 1| and residual max_t |(K(t) - I) c|, each of shape
+    (...); the caller compares the residual with its own tolerance.
     """
-    k = K.shape[-1]
-    A = np.mean((K - np.eye(k)) @ (K - np.eye(k)), axis=0)
-    _, vecs = np.linalg.eigh(A)
-    c = vecs[:, 0]
-    resid = float(np.max(np.linalg.norm((K - np.eye(k)) @ c, axis=-1)))
-    if resid > tol:
-        return None
-    deviation = float(np.max(np.abs(np.einsum("i,tij,j->t", c, K, c) - 1.0)))
+    KI = K - np.eye(K.shape[-1])
+    c = np.linalg.eigh(np.mean(KI @ KI, axis=0))[1][..., 0]
+    resid = np.max(np.linalg.norm((KI @ c[..., None])[..., 0], axis=-1), axis=0)
+    deviation = np.max(np.abs(np.einsum("...i,t...ij,...j->t...", c, K, c) - 1.0), axis=0)
     return c, deviation, resid
 
 
@@ -465,14 +464,13 @@ def spherical_field(profile, tol=1e-6):
     eigmax = float(np.max(np.linalg.eigvalsh(profile.K)))
     if eigmax > 1.0 + tol:
         raise DomainError("curvature along the geodesic exceeds 1 + tol")
-    hit = spherical_witness(profile.K, tol)
-    if hit is None:
+    c, deviation, resid = spherical_witness(profile.K)
+    if resid > tol:
         return None
-    c, deviation, _ = hit
     E = np.einsum("a,tad->td", c, E)
     return SphericalFieldCertificate(
         field=ParallelField(profile.trajectory, E),
-        deviation=deviation,
+        deviation=float(deviation),
         coefficients=c,
     )
 

@@ -269,7 +269,9 @@ def check_positive_spherical_rank(
     A geodesic passes when it has a conjugate event within ``time_tol`` of pi
     and none earlier.  Requires sectional curvature at most 1 + ``curv_tol``;
     a violated bound yields the distinct "precondition-failed" status rather
-    than ``holds = False``.  ``step`` None takes ``model_step(model)``.
+    than ``holds = False``.  ``step`` None takes ``model_step(model)``.  With
+    ``richardson`` each chunk runs again at ``step / 2`` once its K at
+    ``step`` is freed, and the two runs' event times must agree.
     """
     _check_arguments(chunk, time_tol=time_tol, curv_tol=curv_tol, rank_tol=rank_tol)
     step = model_step(model) if step is None else step
@@ -285,55 +287,52 @@ def check_positive_spherical_rank(
     horizon = max(math.pi, window_end) + 0.05
 
     P, W = sampler.states(model)
-    evidence = []
     sampled_sec_max = -math.inf
 
-    def chunk_events(a, b, step_, with_cert):
+    def chunk_evidence(a, b):
+        """The chunk's rows at ``step``, then, with Richardson, at ``step / 2``."""
         nonlocal sampled_sec_max
-        bundle = _bundle(model, P[a:b], W[a:b], horizon, step_, frame=False)
-        sols = _propagate_bundle(bundle)
-        stride = max(1, int(SEC_SAMPLE_SPACING / bundle["step"] + 1e-9))
-        sampled_sec_max = max(
-            sampled_sec_max, float(np.max(np.linalg.eigvalsh(bundle["K"][::stride])))
-        )
-        events = detect_events(_bundle_propagator(bundle, sols), (0.0, window_end),
-                               rank_tol=rank_tol)
-        certs = [spherical_witness(bundle["K"][:, i], DEFAULT_CERT_TOL) if with_cert else None
-                 for i in range(b - a)]
-        return list(zip(events, certs))
+        runs = []
+        for step_ in (step, step / 2.0) if richardson else (step,):
+            bundle = _bundle(model, P[a:b], W[a:b], horizon, step_, frame=False)
+            if not runs:  # the certificates come from the run at ``step``
+                _, cert_dev, cert_resid = spherical_witness(bundle["K"])
+            sols = _propagate_bundle(bundle)
+            stride = max(1, int(SEC_SAMPLE_SPACING / bundle["step"] + 1e-9))
+            sampled_sec_max = max(
+                sampled_sec_max, float(np.max(np.linalg.eigvalsh(bundle["K"][::stride])))
+            )
+            runs.append(detect_events(_bundle_propagator(bundle, sols), (0.0, window_end),
+                                      rank_tol=rank_tol))
+            del bundle, sols  # K is freed before the half run builds its own
+        evidence = []
+        for i, events in enumerate(runs[0]):
+            at_pi = any(abs(e.time - math.pi) <= time_tol for e in events)
+            ok = at_pi and not any(e.time < math.pi - time_tol for e in events)
+            gap = None
+            if richardson:
+                halved = runs[1][i]
+                diffs = [abs(x.time - y.time) for x, y in zip(events, halved)]
+                gap = max(diffs, default=0.0) if len(events) == len(halved) else math.inf
+                ok = ok and gap <= RICHARDSON_AGREEMENT
+            cert = bool(cert_resid[i] <= DEFAULT_CERT_TOL)
+            evidence.append(
+                RankEvidence(
+                    index=a + i,
+                    point=P[a + i],
+                    velocity=W[a + i],
+                    events=events,
+                    passes=ok,
+                    has_certificate=cert,
+                    certificate_deviation=float(cert_dev[i]) if cert else None,
+                    richardson_gap=gap,
+                )
+            )
+        return evidence
 
-    primary = _by_chunk(len(P), chunk, lambda a, b: chunk_events(a, b, step, True))
-    gaps = {}
-    if richardson:
-        halved = _by_chunk(len(P), chunk, lambda a, b: chunk_events(a, b, step / 2.0, False))
-        for idx in range(len(P)):
-            t1 = [e.time for e in primary[idx][0]]
-            t2 = [e.time for e in halved[idx][0]]
-            diffs = [abs(x - y) for x, y in zip(t1, t2)]
-            gaps[idx] = max(diffs, default=0.0) if len(t1) == len(t2) else math.inf
-
+    evidence = _by_chunk(len(P), chunk, chunk_evidence)
     if sampled_sec_max > 1.0 + curv_tol:
         return unmet("sampled curvature", sampled_sec_max)
-
-    for idx, (events, cert) in enumerate(primary):
-        pi_events = [e for e in events if abs(e.time - math.pi) <= time_tol]
-        early = [e for e in events if e.time < math.pi - time_tol]
-        ok = bool(pi_events) and not early
-        gap = gaps.get(idx)
-        if gap is not None and not (gap <= RICHARDSON_AGREEMENT):
-            ok = False
-        evidence.append(
-            RankEvidence(
-                index=idx,
-                point=P[idx],
-                velocity=W[idx],
-                events=events,
-                passes=ok,
-                has_certificate=cert is not None,
-                certificate_deviation=cert[1] if cert is not None else None,
-                richardson_gap=gap,
-            )
-        )
 
     holds = all(e.passes for e in evidence)
     if holds:
@@ -492,6 +491,8 @@ def check_weak_spherical_rank(
             bundle["X"], bundle["V"] = bundle["X"][:, rows], bundle["V"][:, rows]
             _analyze(model, bundle, frame=False)
         sols = None  # propagated for the first geodesic that needs the search
+        if len(rows) and method != "search":
+            c, _, resid = spherical_witness(bundle["K"])
 
         def keep(i, found):
             if found[0] < dev[i]:
@@ -499,10 +500,8 @@ def check_weak_spherical_rank(
 
         for j, i in enumerate(rows):
             K = bundle["K"][:, j]
-            if method != "search":
-                hit = spherical_witness(K, max(tol, 1e-8))
-                if hit is not None:
-                    keep(i, _field_deviation(K, np.sin(times)[:, None] * hit[0], tol))
+            if method != "search" and resid[j] <= max(tol, 1e-8):
+                keep(i, _field_deviation(K, np.sin(times)[:, None] * c[j], tol))
             if dev[i] > tol and method != "witness":
                 if sols is None:
                     sols = _propagate_bundle(bundle, with_second=True)

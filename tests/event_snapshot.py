@@ -17,8 +17,9 @@ weak check for each stage after the Killing field: "auto" on 32 geodesics
 of upper-normalized Berger(0.6), where every row falls to the search, and
 "auto" on 100 and "search" on 10 geodesics of upper-normalized CP^2, where
 the parallel field holds.  Last come the sampler's initial states for
-Berger(0.8), Berger(0.8) scaled by 1.3, S^3 and CP^2.  Event times, weak
-deviations and states are stored as ``float.hex``.
+Berger(0.8), Berger(0.8) scaled by 1.3, S^3 and CP^2.  Event times,
+certificate and weak deviations and states are stored as ``float.hex``
+(a missing certificate as None).
 
 The comparison prints, per case, "bit-identical", or each field that moved
 with its largest change and its bound.  Each field has its own rule:
@@ -26,8 +27,9 @@ with its largest change and its bound.  Each field has its own rule:
 * counts, multiplicities, ``holds``, ``status``, ``detail``, ``passes``,
   ``has_certificate``, ``excluded_samples`` and sampler states must be equal;
 * event times may move by at most ``TIME_BOUND``;
-* weak deviations may move by at most ``WEAK_FRACTION`` of
-  ``DEFAULT_WEAK_TOL``;
+* certificate deviations may move by at most ``CERT_FRACTION`` of
+  ``DEFAULT_CERT_TOL``, and weak deviations by at most ``WEAK_FRACTION``
+  of ``DEFAULT_WEAK_TOL``;
 * an "after" Richardson gap on a geodesic with an event must lie in
   (0, ``RICHARDSON_AGREEMENT``]: a gap of exactly zero means the
   self-check cannot fail; otherwise the gaps may move freely, and their
@@ -48,13 +50,19 @@ SEED = 20240809
 VERDICT_FIELDS = ("holds", "status", "detail")
 GEODESIC_FIELDS = ("passes", "has_certificate", "excluded_samples")
 # bounds of the comparison: the largest event-time move, and the largest
-# weak-deviation move as a fraction of DEFAULT_WEAK_TOL
+# certificate- and weak-deviation moves as fractions of DEFAULT_CERT_TOL and
+# DEFAULT_WEAK_TOL
 TIME_BOUND = 1e-9
+CERT_FRACTION = 1e-4
 WEAK_FRACTION = 1e-4
 
 
 def _events(events):
     return [[e.time.hex(), e.multiplicity] for e in events]
+
+
+def _maybe_hex(x):
+    return None if x is None else x.hex()
 
 
 def _hex(array):
@@ -80,6 +88,7 @@ def _checks(sr):
                 "richardson_gap": e.richardson_gap,
                 "passes": e.passes,
                 "has_certificate": e.has_certificate,
+                "certificate_deviation": _maybe_hex(e.certificate_deviation),
             }
             for e in verdict.evidence
         ]
@@ -179,6 +188,12 @@ def _moves(old, new, faults):
             note("event time", float.fromhex(t), float.fromhex(u))
         if "weak_deviation" in g:
             note("weak_deviation", *(float.fromhex(x["weak_deviation"]) for x in (g, h)))
+        cert = g.get("certificate_deviation"), h.get("certificate_deviation")
+        if None in cert:
+            if cert[0] != cert[1]:
+                faults.append(f"geodesic {i}: certificate_deviation {cert[0]} -> {cert[1]}")
+        else:
+            note("certificate_deviation", *map(float.fromhex, cert))
         if "richardson_gap" in g:
             note("richardson_gap", g["richardson_gap"], h["richardson_gap"])
             if h["events"] and not 0 < h["richardson_gap"] <= RICHARDSON_AGREEMENT:
@@ -188,9 +203,13 @@ def _moves(old, new, faults):
 
 def compare(before_path, after_path):
     """Print the per-case comparison; True when every field keeps its rule."""
-    from sphererank.rank import DEFAULT_WEAK_TOL
+    from sphererank.rank import DEFAULT_CERT_TOL, DEFAULT_WEAK_TOL
 
-    bounds = {"event time": TIME_BOUND, "weak_deviation": WEAK_FRACTION * DEFAULT_WEAK_TOL}
+    bounds = {
+        "event time": TIME_BOUND,
+        "certificate_deviation": CERT_FRACTION * DEFAULT_CERT_TOL,
+        "weak_deviation": WEAK_FRACTION * DEFAULT_WEAK_TOL,
+    }
     with open(before_path) as fh:
         before = json.load(fh)
     with open(after_path) as fh:

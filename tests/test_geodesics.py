@@ -248,6 +248,68 @@ def test_normal_frame_round2_is_rotating_normal():
     assert np.max(np.linalg.norm(frame[0].components - sign * normal, axis=-1)) < 1e-7
 
 
+def _row_by_row_frame(model, X, V):
+    """The initial frame's Gram-Schmidt one row at a time, as it was before the
+    rows ran in lockstep."""
+    k = model.dim - 1
+    cands = model.tangent_basis(X)
+    out = np.empty((len(X), k, model.tangent_dim))
+    for b in range(len(X)):
+        basis = [V[b] / np.sqrt(float(model.inner(V[b], V[b])))]
+        for m in range(cands.shape[-2]):
+            w = np.array(cands[b, m], dtype=float)
+            for e in basis:
+                w = w - float(model.inner(w, e)) * e
+            nrm = np.sqrt(float(model.inner(w, w)))
+            if nrm > 1e-8:
+                basis.append(w / nrm)
+            if len(basis) == k + 1:
+                break
+        out[b] = np.stack(basis[1:])
+    return out
+
+
+@pytest.mark.parametrize(
+    "model",
+    [sr.RoundSphere(2), sr.RoundSphere(5), sr.ComplexProjective(2), sr.ComplexProjective(3),
+     sr.BergerSphere(1.2), sr.Scaled(sr.BergerSphere(0.5), 1.3),
+     sr.Scaled(sr.ComplexProjective(2), 0.7)],
+    ids=["s2", "s5", "cp2", "cp3", "berger1.2", "berger0.5-scaled", "cp2-scaled"],
+)
+def test_lockstep_initial_frame_is_bitwise_row_by_row(model):
+    for stratification in ("uniform", "include-special"):
+        X, V = sr.GeodesicSampler(16, 11, stratification).states(model)
+        got = initial_normal_frame(model, X, V)
+        assert np.array_equal(got, _row_by_row_frame(model, X, V))
+        assert np.array_equal(initial_normal_frame(model, X[1], V[1]), got[1])
+
+
+def test_lockstep_initial_frame_skips_a_candidate_along_the_velocity():
+    # at the north pole of S^2 the first candidate e_0 is the velocity itself
+    m = sr.RoundSphere(2)
+    X, V = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]]), np.array([[1.0, 0.0, 0.0], [0, 1.0, 0]])
+    got = initial_normal_frame(m, X, V)
+    assert np.array_equal(got, _row_by_row_frame(m, X, V))
+    assert np.array_equal(got[0], [[0.0, 1.0, 0.0]])
+    assert np.array_equal(initial_normal_frame(m, X[0], V[0]), got[0])
+
+
+class _StarvedSphere(sr.RoundSphere):
+    """S^n whose second row gets no candidates for the frame (all are zero)."""
+
+    def tangent_basis(self, p):
+        cands = super().tangent_basis(p).copy()
+        cands[1] = 0.0
+        return cands
+
+
+def test_lockstep_initial_frame_rejects_a_row_left_short():
+    m = _StarvedSphere(2)
+    X, V = sr.GeodesicSampler(3, 11).states(m)
+    with pytest.raises(sr.DomainError, match="could not complete a normal frame"):
+        initial_normal_frame(m, X, V)
+
+
 def test_normal_frame_orthonormality_and_eta_one_reduction():
     mb = sr.BergerSphere(1.2)
     w0 = _unit(mb, None, [0.3, 0.5, 0.7])

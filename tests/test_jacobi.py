@@ -487,6 +487,42 @@ def test_spherical_field_certificate_implies_jacobi_residual():
         assert np.max(np.abs(resid)) < 1e-6
 
 
+def _single_witness(K):
+    """The witness formula on one geodesic's K (T, k, k), as it was before it was stacked."""
+    k = K.shape[-1]
+    A = np.mean((K - np.eye(k)) @ (K - np.eye(k)), axis=0)
+    c = np.linalg.eigh(A)[1][:, 0]
+    resid = float(np.max(np.linalg.norm((K - np.eye(k)) @ c, axis=-1)))
+    deviation = float(np.max(np.abs(np.einsum("i,tij,j->t", c, K, c) - 1.0)))
+    return c, deviation, resid
+
+
+@pytest.mark.parametrize(
+    "model, hits",
+    [(sr.RoundSphere(4), 12),
+     (sr.normalize_to_bound(sr.ComplexProjective(2), "upper"), 12),
+     (sr.normalize_to_bound(sr.ComplexProjective(2), "lower"), 12),
+     (sr.normalize_to_bound(sr.BergerSphere(1.2), "upper"), 1),
+     (sr.normalize_to_bound(sr.BergerSphere(0.6), "upper"), 0)],
+    ids=["s4", "cp2-upper", "cp2-lower", "berger1.2-upper", "berger0.6-upper"],
+)
+def test_stacked_witness_is_bitwise_the_single_formula(model, hits):
+    P, W = sr.GeodesicSampler(12, 3).states(model)
+    K = rank_mod._bundle(model, P, W, math.pi + 0.05, sr.model_step(model), frame=False)["K"]
+    c, deviation, resid = jacobi_mod.spherical_witness(K)
+    assert c.shape == (12, K.shape[-1]) and deviation.shape == resid.shape == (12,)
+    for i in range(len(P)):
+        want = _single_witness(K[:, i])
+        assert np.array_equal(c[i], want[0])
+        assert deviation[i] == want[1] and resid[i] == want[2]
+    # on the upper Berger spheres most rows miss: all on Berger(0.6), all but the
+    # fiber row on Berger(1.2)
+    assert np.sum(resid <= rank_mod.DEFAULT_CERT_TOL) == hits
+    one = jacobi_mod.spherical_witness(K[:, 0])
+    assert one[0].shape == (K.shape[-1],) and np.ndim(one[1]) == np.ndim(one[2]) == 0
+    assert np.array_equal(one[0], c[0]) and one[1:] == (deviation[0], resid[0])
+
+
 def test_spherical_field_curvature_precondition():
     m = sr.BergerSphere(1.2)  # max curvature 1.44 > 1
     _, profile, _ = _pipeline(m, [1, 0, 0, 0], _unit(m, [0, 1, 0]), 2.0)

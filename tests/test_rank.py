@@ -524,6 +524,41 @@ def test_killing_witness_transports_a_frame_only_for_the_fiber_row(monkeypatch, 
     assert rows == []
 
 
+def _witness_rows(monkeypatch):
+    """The number of rows of each call of ``rank.spherical_witness``, as calls are made."""
+    calls = []
+    real = rank_mod.spherical_witness
+
+    def spy(K):
+        calls.append(K.shape[1])
+        return real(K)
+
+    monkeypatch.setattr(rank_mod, "spherical_witness", spy)
+    return calls
+
+
+@pytest.mark.parametrize("method", ["search", "witness", "auto"])
+def test_witness_is_read_once_per_chunk_with_open_rows(monkeypatch, method):
+    calls = _witness_rows(monkeypatch)
+    sampler = sr.GeodesicSampler(6, 3)
+    # upper Berger(1.2): the Killing field leaves only the fiber row, in the first chunk, open
+    berger = sr.normalize_to_bound(sr.BergerSphere(1.2), "upper")
+    sr.check_weak_spherical_rank(berger, "upper", sampler, method=method, chunk=4)
+    # upper CP^2 has no Killing direction: every row of both chunks is open
+    cp2 = sr.normalize_to_bound(sr.ComplexProjective(2), "upper")
+    sr.check_weak_spherical_rank(cp2, "upper", sampler, method=method, chunk=4)
+    assert calls == ([] if method == "search" else [1, 4, 2])
+
+
+def test_positive_check_reads_its_certificates_once_per_chunk(monkeypatch):
+    calls = _witness_rows(monkeypatch)
+    verdict = sr.check_positive_spherical_rank(
+        sr.RoundSphere(3), sr.GeodesicSampler(6, 3), richardson=True, chunk=4
+    )
+    assert verdict.holds and all(e.has_certificate for e in verdict.evidence)
+    assert calls == [4, 2]
+
+
 @pytest.mark.parametrize(
     "eta, side", [(1.2, "upper"), (0.8, "lower"), (0.5, "lower")],
     ids=["berger1.2-upper", "berger0.8-lower", "berger0.5-lower"],
@@ -551,10 +586,10 @@ def test_fiber_row_and_search_deviations_equal_the_frame_route(eta, side):
 def _parallel_deviation(times, K):
     """Deviation of the parallel field sin(t) c of ``spherical_witness`` on ``K``, inf if none."""
     tol = rank_mod.DEFAULT_WEAK_TOL
-    hit = rank_mod.spherical_witness(K, tol)
-    if hit is None:
+    c, _, resid = rank_mod.spherical_witness(K)
+    if resid > tol:
         return math.inf
-    return rank_mod._field_deviation(K, np.sin(times)[:, None] * hit[0], tol)[0]
+    return rank_mod._field_deviation(K, np.sin(times)[:, None] * c, tol)[0]
 
 
 class _RolledSampler:
