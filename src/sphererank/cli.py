@@ -47,6 +47,7 @@ from .rank import (
     WEAK_SIDES,
     BergerReportRow,
     GeodesicSampler,
+    _special_states,
     berger_report,
     check_positive_spherical_rank,
     check_weak_spherical_rank,
@@ -146,10 +147,7 @@ def validate_manifest(manifest):
         section, _, leaf = flag.key.partition(".")
         if choices and (manifest[section][leaf] if leaf else manifest[section]) not in choices:
             raise ParameterError(f"{flag.key} must be one of {'/'.join(choices)}")
-    samp = manifest["sampler"]
-    if _whole(samp["count"], "sampler.count") < 1:
-        raise ParameterError("sampler count must be positive")
-    _whole(samp["seed"], "sampler.seed")
+    _sampler(manifest)
     integ = manifest["integrator"]
     for key in ("step", "horizon"):
         if key == "step" and integ[key] is None:
@@ -223,7 +221,8 @@ def _step(manifest, model):
 
 def _sampler(manifest):
     s = manifest["sampler"]
-    return GeodesicSampler(int(s["count"]), int(s["seed"]), s["stratification"])
+    count, seed = _whole(s["count"], "sampler.count"), _whole(s["seed"], "sampler.seed")
+    return GeodesicSampler(count, seed, s["stratification"])
 
 
 def resolve_initial(model, manifest, direction):
@@ -233,11 +232,9 @@ def resolve_initial(model, manifest, direction):
     on Berger spheres) selects that direction, g-normalized; ``sample-<k>``
     takes the k-th draw of the manifest sampler and ``sample`` the first.
     """
-    special = model.special_directions()
+    special = _special_states(model)
     if direction in special:
-        q, w = special[direction]
-        p = Point(q)
-        return GeodesicState(p, Tangent(p, w / math.sqrt(float(model.inner(w, w)))))
+        return special[direction]
     sample = re.fullmatch(r"sample(?:-(\d+))?", direction)
     if sample:
         k = int(sample[1] or 0)

@@ -20,6 +20,7 @@ a pure function of its arguments.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -713,6 +714,14 @@ def _sobol_directions(dim):
     return v
 
 
+def _check_count_and_seed(count, seed, count_name):
+    """``ParameterError`` naming the field unless ``count`` is an integer >= 1 and
+    ``seed`` an integer >= 0 (a bool is neither, a NumPy integer is either)."""
+    for name, value, least in ((count_name, count, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def sobol_uniforms(dim, count, seed):
     """First ``count`` points of a scrambled Sobol' sequence, clipped away from {0, 1}.
 
@@ -833,8 +842,7 @@ def _generic_plane_samples(model, points, u):
 
 def curvature_scan(model, sample_count, seed):
     """Deterministic min/max of sectional curvature over sampled 2-planes."""
-    if sample_count < 1:
-        raise ParameterError("curvature_scan needs sample_count >= 1")
+    _check_count_and_seed(sample_count, seed, "sample_count")
     core, _ = unwrap(model)
     berger = isinstance(core, BergerSphere)
     dp = model.point_dim

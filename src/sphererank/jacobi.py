@@ -417,6 +417,8 @@ def fixed_endpoint_index(propagator, L):
     ``L`` is within 1e-6 of a conjugate time and ``AmbiguousEndpointError``
     is raised.
     """
+    if propagator.M.ndim != 3:
+        raise ParameterError("fixed_endpoint_index takes a single propagator, not a bundle")
     times = propagator.times
     if L <= times[0] or L > times[-1] + 1e-12:
         raise ParameterError("endpoint outside the propagator domain")

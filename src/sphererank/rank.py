@@ -1,15 +1,15 @@
 """Spherical-rank verdicts aggregated over sampled geodesics.
 
 "Every geodesic" is approximated by a seeded low-discrepancy sample of the
-unit tangent bundle (plus the model's forced ``special_directions``).  For
-each sampled geodesic the pipeline integrates the trajectory, transports a
-parallel normal frame, assembles the curvature profile, and propagates the
-Jacobi fundamental solution; geodesics in a chunk (``DEFAULT_CHUNK`` of them
-unless ``chunk=`` says otherwise) advance in lockstep so the checks stay
-fast, and each chunk's arrays are freed before the next chunk is built, so
-memory is bounded by one chunk.  The weak check skips the frame where the
-model's Killing field already gives the answer.  Verdicts are deterministic
-functions of (model, sampler seed, tolerances), whatever the chunk size.
+unit tangent bundle (plus the model's forced ``special_directions``).  The
+geodesics of a chunk (``DEFAULT_CHUNK`` unless ``chunk=`` says otherwise)
+advance in lockstep as plain arrays: ``_flow`` integrates their states,
+``_curvature`` reads the curvature profile K off a parallel normal frame,
+and each check propagates the Jacobi fundamental solution from K itself
+(the weak check skips the frame where the Killing field gives the answer).
+The frame is freed inside ``_curvature``, the states before propagation,
+a chunk before the next.  Verdicts are deterministic functions of (model,
+sampler seed, tolerances), whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .geometry import (
     Point,
     Scaled,
     Tangent,
+    _check_count_and_seed,
     curvature_bounds,
     curvature_scan,
     points_from_uniforms,
@@ -91,8 +92,7 @@ class GeodesicSampler:
     stratification: str = STRATIFICATIONS[1]
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ParameterError("sampler count must be >= 1")
+        _check_count_and_seed(self.count, self.seed, "count")
         if self.stratification not in STRATIFICATIONS:
             raise ParameterError(f"stratification must be one of {STRATIFICATIONS}")
 
@@ -103,10 +103,18 @@ class GeodesicSampler:
         P = points_from_uniforms(model, u[:, :dp])
         W = tangents_from_uniforms(model, P, u[:, dp:])
         if self.stratification == "include-special":
-            special = list(model.special_directions().values())[: self.count]
-            for i, (p, w) in enumerate(special):
-                P[i], W[i] = p, w / math.sqrt(float(model.inner(w, w)))
+            for i, state in zip(range(self.count), _special_states(model).values()):
+                P[i], W[i] = state.point.coordinates, state.velocity.components
         return P, W
+
+
+def _special_states(model):
+    """The model's ``special_directions`` as states of unit speed."""
+    states = {}
+    for name, (q, w) in model.special_directions().items():
+        p = Point(q)
+        states[name] = GeodesicState(p, Tangent(p, w / math.sqrt(float(model.inner(w, w)))))
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -195,57 +203,27 @@ def _by_chunk(n, size, analyze):
 
 
 def _flow(model, P, W, horizon, step):
-    """A bundle dict of the geodesics' states X, V on the grid
-    ``time_grid(horizon, 2 * step)`` (one interval when the horizon is shorter)."""
+    """The grid ``time_grid(horizon, 2 * step)`` (one interval when the horizon
+    is shorter) and the geodesics' states X, V on it."""
     times = time_grid(horizon, min(2 * step, horizon))
-    X, V = flow_arrays(model, P, W, times)
-    return {"times": times, "X": X, "V": V, "step": 2 * step}
+    return (times, *flow_arrays(model, P, W, times))
 
 
-def _analyze(model, bundle, frame=True):
-    """Add the frame, the curvature profile K and its midpoints to a ``_flow`` bundle.
+def _curvature(model, times, X, V):
+    """The curvature profile K of a ``_flow`` bundle, its symmetry defect per
+    geodesic, and K at the interval midpoints.
 
     The frame, the curvature profile and the Jacobi propagation all run on
     the flow's grid, and the frame reads its midpoint states from
     ``hermite_midpoints``: the scheme of a single geodesic, so each row of a
     bundle at ``step`` is bit for bit the geodesic of ``geodesic_flow`` at
-    ``2 * step``.  With ``frame=False`` the states and the frame are dropped
-    once K exists (the rank checks read only K).
+    ``2 * step``.  The frame is freed once K exists: the rank checks read
+    only K.
     """
-    times, X, V = bundle["times"], bundle["X"], bundle["V"]
     E = frame_arrays(model, times, X, V, *hermite_midpoints(model, times, X, V))
-    bundle["K"], bundle["defect"] = profile_arrays(model, V, E)
-    if frame:
-        bundle["E"] = E
-    else:
-        del bundle["X"], bundle["V"]
-    del X, V, E
-    bundle["Kmid"] = interval_midpoints(times, bundle["K"])
-    return bundle
-
-
-def _bundle(model, P, W, horizon, step, frame=True):
-    """Integrate and analyze a geodesic bundle: ``_analyze`` of ``_flow``."""
-    return _analyze(model, _flow(model, P, W, horizon, step), frame)
-
-
-def _propagate_bundle(bundle, with_second=False):
-    times, K, Kmid = bundle["times"], bundle["K"], bundle["Kmid"]
-    B, k = K.shape[1], K.shape[-1]
-    eye = np.broadcast_to(np.eye(k), (B, k, k)).copy()
-    ics = (np.zeros((B, k, k)), eye)
-    M, Mp = solve_jacobi_arrays(times, K, Kmid, *ics)
-    out = {"M": M, "Mp": Mp}
-    if with_second:
-        N, Np = solve_jacobi_arrays(times, K, Kmid, eye, np.zeros((B, k, k)))
-        out["N"] = N
-    return out
-
-
-def _bundle_propagator(bundle, sols):
-    """One batched propagator for the whole bundle, on a profile that kept only K."""
-    profile = CurvatureProfile(None, [], bundle["K"], bundle["defect"])
-    return JacobiPropagator(profile, bundle["times"], sols["M"], sols["Mp"])
+    K, defect = profile_arrays(model, V, E)
+    del E
+    return K, defect, interval_midpoints(times, K)
 
 
 # ---------------------------------------------------------------------------
@@ -294,17 +272,18 @@ def check_positive_spherical_rank(
         nonlocal sampled_sec_max
         runs = []
         for step_ in (step, step / 2.0) if richardson else (step,):
-            bundle = _bundle(model, P[a:b], W[a:b], horizon, step_, frame=False)
+            times, X, V = _flow(model, P[a:b], W[a:b], horizon, step_)
+            K, defect, Kmid = _curvature(model, times, X, V)
+            del X, V
             if not runs:  # the certificates come from the run at ``step``
-                _, cert_dev, cert_resid = spherical_witness(bundle["K"])
-            sols = _propagate_bundle(bundle)
-            stride = max(1, int(SEC_SAMPLE_SPACING / bundle["step"] + 1e-9))
-            sampled_sec_max = max(
-                sampled_sec_max, float(np.max(np.linalg.eigvalsh(bundle["K"][::stride])))
-            )
-            runs.append(detect_events(_bundle_propagator(bundle, sols), (0.0, window_end),
-                                      rank_tol=rank_tol))
-            del bundle, sols  # K is freed before the half run builds its own
+                _, cert_dev, cert_resid = spherical_witness(K)
+            M, Mp = solve_jacobi_arrays(times, K, Kmid, np.zeros(K.shape[1:]),
+                                        np.broadcast_to(np.eye(K.shape[-1]), K.shape[1:]))
+            stride = max(1, int(SEC_SAMPLE_SPACING / (2 * step_) + 1e-9))
+            sampled_sec_max = max(sampled_sec_max, float(np.max(np.linalg.eigvalsh(K[::stride]))))
+            prop = JacobiPropagator(CurvatureProfile(None, [], K, defect), times, M, Mp)
+            runs.append(detect_events(prop, (0.0, window_end), rank_tol=rank_tol))
+            del K, Kmid, M, Mp, prop  # K is freed before the half run builds its own
         evidence = []
         for i, events in enumerate(runs[0]):
             at_pi = any(abs(e.time - math.pi) <= time_tol for e in events)
@@ -479,33 +458,35 @@ def check_weak_spherical_rank(
     P, W = sampler.states(model)
 
     def chunk_evidence(a, b):
-        bundle = _flow(model, P[a:b], W[a:b], math.pi, step)
-        times = bundle["times"]
+        times, X, V = _flow(model, P[a:b], W[a:b], math.pi, step)
         if killing_stage:
-            dev, excluded = _killing_deviations(model, bundle["V"], tol)
+            dev, excluded = _killing_deviations(model, V, tol)
         else:
             dev, excluded = np.full(b - a, math.inf), np.zeros(b - a, dtype=int)
         # a frame, so K, only for the rows the Killing field leaves open
         rows = np.flatnonzero(dev > tol)
+        X, V = X[:, rows], V[:, rows]
         if len(rows):
-            bundle["X"], bundle["V"] = bundle["X"][:, rows], bundle["V"][:, rows]
-            _analyze(model, bundle, frame=False)
-        sols = None  # propagated for the first geodesic that needs the search
+            K, _, Kmid = _curvature(model, times, X, V)
+        del X, V
+        Y = None  # [N M], propagated for the first geodesic that needs the search
         if len(rows) and method != "search":
-            c, _, resid = spherical_witness(bundle["K"])
+            c, _, resid = spherical_witness(K)
 
         def keep(i, found):
             if found[0] < dev[i]:
                 dev[i], excluded[i] = found[:2]
 
         for j, i in enumerate(rows):
-            K = bundle["K"][:, j]
             if method != "search" and resid[j] <= max(tol, 1e-8):
-                keep(i, _field_deviation(K, np.sin(times)[:, None] * c[j], tol))
+                keep(i, _field_deviation(K[:, j], np.sin(times)[:, None] * c[j], tol))
             if dev[i] > tol and method != "witness":
-                if sols is None:
-                    sols = _propagate_bundle(bundle, with_second=True)
-                keep(i, weak_field_search(times, K, sols["M"][:, j], sols["N"][:, j], tol))
+                k = K.shape[-1]
+                if Y is None:  # N(0) = M'(0) = I and N'(0) = M(0) = 0, in one solve
+                    shape = K.shape[1:-1] + (2 * k,)
+                    ics = (np.broadcast_to(np.eye(k, 2 * k, d), shape) for d in (0, k))
+                    Y, _ = solve_jacobi_arrays(times, K, Kmid, *ics)
+                keep(i, weak_field_search(times, K[:, j], Y[:, j, :, k:], Y[:, j, :, :k], tol))
         return [
             RankEvidence(
                 index=a + i,
@@ -567,9 +548,7 @@ def measure_fiber_time(eta, step=None):
     """
     model = BergerSphere(eta)
     step = model_step(model) if step is None else step
-    q0, w = model.special_directions()["fiber"]
-    p0, period = Point(q0), 2.0 * math.pi * eta
-    initial = GeodesicState(p0, Tangent(p0, w / math.sqrt(float(model.inner(w, w)))))
+    initial, period = _special_states(model)["fiber"], 2.0 * math.pi * eta
     # a few steps past the period: the nodes before it do not depend on the horizon
     traj = geodesic_flow(model, initial, max(1.05 * period, period + 4 * step), step)
     X, V = traj.points, traj.velocities

@@ -1,15 +1,55 @@
-"""Per-geodesic views of a rank bundle, for the tests that compare a bundle
-row with the single-geodesic objects.  pytest does not collect this file."""
+"""Analyzed rank bundles and their per-geodesic views, for the tests that
+compare a bundle row with the single-geodesic objects.  pytest does not
+collect this file."""
 
-from sphererank.geodesics import ParallelField, Trajectory
-from sphererank.jacobi import CurvatureProfile, JacobiPropagator
+import numpy as np
+
+from sphererank import rank
+from sphererank.geodesics import ParallelField, Trajectory, frame_arrays, hermite_midpoints
+from sphererank.jacobi import CurvatureProfile, JacobiPropagator, solve_jacobi_arrays
 
 
-def row_views(model, bundle, sols, b):
+def analyzed_bundle(model, P, W, horizon, step, frame=True):
+    """A rank chunk's arrays in one dict: ``rank._flow`` at ``step``, then
+    ``rank._curvature`` and the fundamental solution M, M' of the positive check.
+
+    With ``frame`` the dict also keeps the states X, V and the frame E, which
+    ``_curvature`` frees; E is rebuilt here the way ``_curvature`` builds it.
+    """
+    times, X, V = rank._flow(model, P, W, horizon, step)
+    K, defect, Kmid = rank._curvature(model, times, X, V)
+    M, Mp = solve_jacobi_arrays(times, K, Kmid, np.zeros(K.shape[1:]),
+                                np.broadcast_to(np.eye(K.shape[-1]), K.shape[1:]))
+    bundle = {"times": times, "step": 2 * step, "K": K, "defect": defect, "Kmid": Kmid,
+              "M": M, "Mp": Mp}
+    if frame:
+        E = frame_arrays(model, times, X, V, *hermite_midpoints(model, times, X, V))
+        bundle.update(X=X, V=V, E=E)
+    return bundle
+
+
+def second_solution(bundle):
+    """N with N(0) = I and N'(0) = 0, solved on its own: the fundamental
+    solution that the weak search pairs with M."""
+    K = bundle["K"]
+    N, _ = solve_jacobi_arrays(bundle["times"], K, bundle["Kmid"],
+                               np.broadcast_to(np.eye(K.shape[-1]), K.shape[1:]),
+                               np.zeros(K.shape[1:]))
+    return N
+
+
+def bundle_propagator(bundle):
+    """The whole bundle's batched propagator, on a profile that kept only K,
+    as the positive check builds it."""
+    profile = CurvatureProfile(None, [], bundle["K"], bundle["defect"])
+    return JacobiPropagator(profile, bundle["times"], bundle["M"], bundle["Mp"])
+
+
+def row_views(model, bundle, b):
     """Per-geodesic profile/propagator objects backed by bundle slices.
 
-    A bundle built with ``frame=False`` gives a profile with no trajectory
-    and no frame fields: its K and the solutions are all detection reads.
+    A bundle built without a frame gives a profile with no trajectory and no
+    frame fields: its K and the solutions are all detection reads.
     """
     times = bundle["times"]
     traj, fields = None, []
@@ -17,5 +57,11 @@ def row_views(model, bundle, sols, b):
         traj = Trajectory(model, times, bundle["X"][:, b], bundle["V"][:, b], bundle["step"])
         fields = [ParallelField(traj, bundle["E"][:, b, a]) for a in range(bundle["E"].shape[2])]
     profile = CurvatureProfile(traj, fields, bundle["K"][:, b], float(bundle["defect"][b]))
-    prop = JacobiPropagator(profile, times, sols["M"][:, b], sols["Mp"][:, b])
+    prop = JacobiPropagator(profile, times, bundle["M"][:, b], bundle["Mp"][:, b])
     return profile, prop
+
+
+def bundle_views(model, P, W, horizon, step=1e-3):
+    """An ``analyzed_bundle`` with its frame, and the ``row_views`` of every row."""
+    bundle = analyzed_bundle(model, P, W, horizon, step)
+    return bundle, [row_views(model, bundle, b) for b in range(len(P))]

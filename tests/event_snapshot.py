@@ -96,7 +96,7 @@ def _checks(sr):
 
 
 def _raw(sr):
-    from bundle_views import row_views
+    from bundle_views import analyzed_bundle, row_views
     from sphererank import rank
 
     for name, model, horizon in (
@@ -105,11 +105,10 @@ def _raw(sr):
         ("CP2raw", sr.ComplexProjective(2), 2 * math.pi + 0.2),
     ):
         P, W = sr.GeodesicSampler(64, SEED).states(model)
-        bundle = rank._bundle(model, P, W, horizon, rank.model_step(model), frame=False)
-        sols = rank._propagate_bundle(bundle)
+        bundle = analyzed_bundle(model, P, W, horizon, rank.model_step(model), frame=False)
         geodesics = []
         for b in range(len(P)):
-            _, prop = row_views(model, bundle, sols, b)
+            _, prop = row_views(model, bundle, b)
             geodesics.append({"events": _events(rank.detect_events(prop, (0.0, horizon)))})
         yield name, {"geodesics": geodesics}
 

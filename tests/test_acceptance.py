@@ -13,19 +13,16 @@ import time
 import numpy as np
 import pytest
 
-from bundle_views import row_views
+from bundle_views import bundle_views
 import fd_oracle as fd
 import sphererank as sr
-from sphererank import rank as rank_mod
 from sphererank.geometry import ambient_from_body, pair_inner
 
 SEED = 20240809
 
 
 def _bundle_views(model, P, W, horizon, step=1e-3):
-    bundle = rank_mod._bundle(model, P, W, horizon, step)
-    sols = rank_mod._propagate_bundle(bundle)
-    return bundle, [row_views(model, bundle, sols, i) for i in range(len(P))]
+    return bundle_views(model, P, W, horizon, step)
 
 
 def _passline(num, text):

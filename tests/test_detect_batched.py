@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from bundle_views import row_views
+from bundle_views import analyzed_bundle, bundle_propagator, row_views
 import sphererank as sr
 from sphererank import rank as rank_mod
 
@@ -21,10 +21,9 @@ CHUNK = 16
 
 def _bundle(model, horizon, count=CHUNK):
     P, W = sr.GeodesicSampler(count, SEED).states(model)
-    bundle = rank_mod._bundle(model, P, W, horizon, sr.model_step(model), frame=False)
-    sols = rank_mod._propagate_bundle(bundle)
-    views = [row_views(model, bundle, sols, b)[1] for b in range(count)]
-    return rank_mod._bundle_propagator(bundle, sols), views
+    bundle = analyzed_bundle(model, P, W, horizon, sr.model_step(model), frame=False)
+    views = [row_views(model, bundle, b)[1] for b in range(count)]
+    return bundle_propagator(bundle), views
 
 
 def _hex(events):

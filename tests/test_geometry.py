@@ -233,6 +233,20 @@ def test_scan_deterministic_and_validated():
     assert sr.sectional_curvature(sr.BergerSphere(0.9), u, v) == pytest.approx(s1.maximum, rel=1e-12)
     with pytest.raises(sr.ParameterError):
         sr.curvature_scan(sr.BergerSphere(0.9), 0, 7)
+    s3 = sr.curvature_scan(sr.BergerSphere(0.9), np.int64(512), np.int32(7))
+    assert (s3.minimum, s3.maximum) == (s1.minimum, s1.maximum)
+
+
+@pytest.mark.parametrize(
+    "count, seed, field",
+    [(2.5, 0, "sample_count"), (10.0, 0, "sample_count"), (True, 0, "sample_count"),
+     (10, None, "seed"), (10, -1, "seed"), (10, 0.0, "seed")],
+)
+def test_scan_rejects_a_count_or_seed_it_cannot_use(count, seed, field):
+    # a float count failed in NumPy's bitwise_and, a negative seed in default_rng,
+    # and a seed of None drew OS entropy
+    with pytest.raises(sr.ParameterError, match=f"^{field} must be an integer"):
+        sr.curvature_scan(sr.RoundSphere(3), count, seed)
 
 
 def test_curvature_bounds():

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from bundle_views import row_views
+from bundle_views import (
+    analyzed_bundle, bundle_propagator, bundle_views, row_views, second_solution,
+)
 import closed_forms as cf
 import sphererank as sr
 from sphererank import jacobi as jacobi_mod
@@ -13,13 +15,6 @@ from sphererank import rank as rank_mod
 def _state(model, p, v):
     point = sr.make_point(model, p)
     return sr.GeodesicState(point, sr.make_tangent(model, point, v))
-
-
-def _bundle_views(model, P, W, horizon, step=1e-3):
-    """Batched profile/propagator views (same cores as the public ops)."""
-    bundle = rank_mod._bundle(model, P, W, horizon, step)
-    sols = rank_mod._propagate_bundle(bundle)
-    return [row_views(model, bundle, sols, i) for i in range(len(P))]
 
 
 def _unit(model, v):
@@ -123,21 +118,19 @@ def test_bundle_analyzes_on_the_2x_grid_with_curvature_midpoints(horizon):
     step = 0.01
     m = sr.RoundSphere(2)
     P, W = sr.GeodesicSampler(2, 5).states(m)
-    bundle = rank_mod._bundle(m, P, W, horizon, step)
+    bundle = analyzed_bundle(m, P, W, horizon, step)
     times = sr.time_grid(horizon, min(2 * step, horizon))
     assert np.array_equal(bundle["times"], times)
     assert bundle["Kmid"].shape == (len(times) - 1,) + bundle["K"].shape[1:]
-    sols = rank_mod._propagate_bundle(bundle)
     for b in range(len(P)):
-        profile, _ = row_views(m, bundle, sols, b)
+        profile, _ = row_views(m, bundle, b)
         assert np.array_equal(profile.midpoints(), bundle["Kmid"][:, b])
 
 
 def test_a_profile_that_kept_only_k_raises_domain_error():
     m = sr.RoundSphere(3)
     P, W = sr.GeodesicSampler(2, 5).states(m)
-    bundle = rank_mod._bundle(m, P, W, 1.0, 0.01, frame=False)
-    profile, _ = row_views(m, bundle, rank_mod._propagate_bundle(bundle), 0)
+    profile, _ = row_views(m, analyzed_bundle(m, P, W, 1.0, 0.01, frame=False), 0)
     x0 = sr.Tangent(sr.Point(P[0]), W[0])
     calls = [
         lambda: profile.times,
@@ -318,7 +311,7 @@ def test_berger_normalized_upper_rauch_window():
     # max curvature 1 after normalization: no conjugate point before pi
     m = sr.normalize_to_bound(sr.BergerSphere(1.2), "upper")
     P, W = _random_geodesics(m, 12, 31)
-    for _, prop in _bundle_views(m, P, W, math.pi + 0.05):
+    for _, prop in bundle_views(m, P, W, math.pi + 0.05)[1]:
         events = sr.conjugate_points(prop, (0.0, math.pi - 1e-4))
         assert events == []
         sigma = prop.smallest_singular_values()
@@ -386,6 +379,35 @@ def test_fixed_endpoint_index():
             sr.fixed_endpoint_index(ps, 2 * math.pi)
 
 
+def test_fixed_endpoint_index_rejects_a_bundle():
+    m = sr.RoundSphere(3)
+    P, W = sr.GeodesicSampler(3, 5).states(m)
+    prop = bundle_propagator(analyzed_bundle(m, P, W, 4.0, 0.01, frame=False))
+    with pytest.raises(sr.ParameterError, match="single propagator"):
+        sr.fixed_endpoint_index(prop, 2.0)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [sr.normalize_to_bound(sr.BergerSphere(1.2), "upper"), sr.RoundSphere(5),
+     sr.ComplexProjective(3)],
+    ids=["k2-berger1.2-upper", "k4-round5", "k5-cp3"],
+)
+@pytest.mark.parametrize("rows", [1, 40])
+def test_one_solve_of_2k_columns_is_n_and_m_bit_for_bit(model, rows):
+    # the weak search's [N M] from Y(0) = [I 0], Y'(0) = [0 I], against the two
+    # fundamental solutions solved on their own
+    P, W = sr.GeodesicSampler(rows, 3).states(model)
+    bundle = analyzed_bundle(model, P, W, 1.0, sr.model_step(model), frame=False)
+    K = bundle["K"]
+    k = K.shape[-1]
+    shape = K.shape[1:-1] + (2 * k,)
+    ics = (np.broadcast_to(np.eye(k, 2 * k, d), shape) for d in (0, k))
+    Y, Yp = jacobi_mod.solve_jacobi_arrays(bundle["times"], K, bundle["Kmid"], *ics)
+    assert np.array_equal(Y[..., :k], second_solution(bundle))
+    assert np.array_equal(Y[..., k:], bundle["M"]) and np.array_equal(Yp[..., k:], bundle["Mp"])
+
+
 def test_nonpositive_rank_tol_rejected():
     # a zero or negative confirming threshold would drop every event
     _, _, prop = _pipeline(sr.RoundSphere(3), [1, 0, 0, 0], [0, 1, 0, 0], 4.0)
@@ -404,7 +426,7 @@ def test_count_on_a_coarse_grid_with_stiff_curvature():
     lam = 0.1
     model = sr.Scaled(sr.RoundSphere(3), lam)
     P, W = np.array([[1.0, 0, 0, 0]]), np.array([_unit(model, [0, 1, 0, 0])])
-    (_, prop), = _bundle_views(model, P, W, 0.8, step=0.005)
+    _, [(_, prop)] = bundle_views(model, P, W, 0.8, step=0.005)
     assert np.diff(prop.times)[0] == pytest.approx(0.01)
     events = sr.conjugate_points(prop, (0.0, 0.8))
     assert [e.multiplicity for e in events] == [2, 2]
@@ -424,7 +446,7 @@ def test_lagrangian_identity_fuzz():
     ]
     for model, count in cases:
         P, W = _random_geodesics(model, count, 1234)
-        for _, prop in _bundle_views(model, P, W, 3.3):
+        for _, prop in bundle_views(model, P, W, 3.3)[1]:
             assert prop.lagrangian_defect() < 1e-7
             # small-time expansion M(t) = t I + O(t^3)
             i1 = 5
@@ -508,7 +530,7 @@ def _single_witness(K):
 )
 def test_stacked_witness_is_bitwise_the_single_formula(model, hits):
     P, W = sr.GeodesicSampler(12, 3).states(model)
-    K = rank_mod._bundle(model, P, W, math.pi + 0.05, sr.model_step(model), frame=False)["K"]
+    K = analyzed_bundle(model, P, W, math.pi + 0.05, sr.model_step(model), frame=False)["K"]
     c, deviation, resid = jacobi_mod.spherical_witness(K)
     assert c.shape == (12, K.shape[-1]) and deviation.shape == resid.shape == (12,)
     for i in range(len(P)):
@@ -548,7 +570,7 @@ def test_sturm_berger_normalized_holds():
     m = sr.normalize_to_bound(sr.BergerSphere(1.2), "upper")
     P, W = _random_geodesics(m, 10, 77)
     rng = np.random.default_rng(5)
-    views = _bundle_views(m, P, W, 2.0)
+    _, views = bundle_views(m, P, W, 2.0)
     for i, (profile, _) in enumerate(views):
         traj = profile.trajectory
         E0 = np.stack([f.components[0] for f in profile.frame])

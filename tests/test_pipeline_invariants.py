@@ -8,10 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from bundle_views import row_views
+from bundle_views import bundle_views
 import sphererank as sr
 from sphererank import geodesics
-from sphererank import rank as rank_mod
 from sphererank.geometry import _cross3, ambient_from_body, pair_inner, quat_mul
 
 SEED = 20240809
@@ -63,15 +62,13 @@ def test_transport_off_grid_round_trip_on_berger():
 def test_bundle_views_report_symmetry_defect():
     model = sr.ComplexProjective(2)
     P, W = sr.GeodesicSampler(3, SEED).states(model)
-    bundle = rank_mod._bundle(model, P, W, 1.0, 1e-3)
-    sols = rank_mod._propagate_bundle(bundle)
+    bundle, views = bundle_views(model, P, W, 1.0)
     vb = bundle["V"][..., None, :]
     raw = pair_inner(model, model.curvature(bundle["E"], vb, vb), bundle["E"])
     expected = np.max(np.abs(raw - np.swapaxes(raw, -1, -2)), axis=(0, 2, 3))
     assert np.all(expected > 0)  # rounding leaves K slightly asymmetric
-    for b in range(len(P)):
-        profile, _ = row_views(model, bundle, sols, b)
-        assert profile.symmetry_defect == expected[b]
+    for (profile, _), defect in zip(views, expected):
+        assert profile.symmetry_defect == defect
 
 
 # ---------------------------------------------------------------------------

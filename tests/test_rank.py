@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from bundle_views import analyzed_bundle, bundle_propagator, second_solution
 import sphererank as sr
 from sphererank import rank as rank_mod
 from sphererank.geodesics import UNIT_STEP, model_step, time_grid
@@ -40,6 +41,25 @@ def test_sampler_deterministic_and_special():
         sr.GeodesicSampler(0, 1)
     with pytest.raises(sr.ParameterError):
         sr.GeodesicSampler(4, 1, "bogus")
+
+
+@pytest.mark.parametrize(
+    "count, seed, field",
+    [(3.0, 5, "count"), (True, 5, "count"), (np.float64(3), 5, "count"), (3, -1, "seed"),
+     (3, None, "seed"), (3, 5.0, "seed"), (3, False, "seed")],
+)
+def test_sampler_rejects_a_count_or_seed_it_cannot_use(count, seed, field):
+    # a float count failed in NumPy's bitwise_and, a negative seed in default_rng,
+    # and a seed of None drew OS entropy, breaking the verdicts' determinism
+    with pytest.raises(sr.ParameterError, match=f"^{field} must be an integer"):
+        sr.GeodesicSampler(count, seed).states(sr.RoundSphere(2))
+
+
+def test_sampler_takes_numpy_integers():
+    m = sr.BergerSphere(0.8)
+    P, W = sr.GeodesicSampler(np.int64(5), np.uint32(7)).states(m)
+    Q, V = sr.GeodesicSampler(5, 7).states(m)
+    assert np.array_equal(P, Q) and np.array_equal(W, V)
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +299,9 @@ def test_weak_rank_search_finds_field_where_theory_says_it_exists(model):
 def test_weak_field_search_returns_exact_jacobi_field():
     up = sr.normalize_to_bound(sr.BergerSphere(1.2), "upper")
     P, W = sr.GeodesicSampler(12, 5).states(up)
-    bundle = rank_mod._bundle(up, P[9:10], W[9:10], math.pi, 1e-3)
-    sols = rank_mod._propagate_bundle(bundle, with_second=True)
-    times, K, M, N = bundle["times"], bundle["K"][:, 0], sols["M"][:, 0], sols["N"][:, 0]
+    bundle = analyzed_bundle(up, P[9:10], W[9:10], math.pi, 1e-3, frame=False)
+    times, K, M = bundle["times"], bundle["K"][:, 0], bundle["M"][:, 0]
+    N = second_solution(bundle)[:, 0]
     dev, excluded, s = sr.weak_field_search(times, K, M, N, 1e-5)
     assert dev <= 1e-5 and excluded == 0
     assert np.linalg.norm(s) == pytest.approx(1.0)
@@ -384,15 +404,15 @@ def test_verdict_determinism_across_runs():
 
 def test_each_chunk_is_released_before_the_next_is_built(monkeypatch):
     built = []
-    real = rank_mod._analyze
+    real = rank_mod._curvature
 
-    def spy(*args, **kwargs):
+    def spy(*args):
         assert all(ref() is None for ref in built), "an earlier chunk's K is still alive"
-        bundle = real(*args, **kwargs)
-        built.append(weakref.ref(bundle["K"]))
-        return bundle
+        K, defect, Kmid = real(*args)
+        built.append(weakref.ref(K))
+        return K, defect, Kmid
 
-    monkeypatch.setattr(rank_mod, "_analyze", spy)
+    monkeypatch.setattr(rank_mod, "_curvature", spy)
     sampler = sr.GeodesicSampler(5, 3)
     m = sr.RoundSphere(2)
     assert sr.check_positive_spherical_rank(m, sampler, richardson=True, chunk=2).holds
@@ -454,9 +474,8 @@ def test_chunk_size_is_bitwise_invisible_with_richardson(model, window):
 def test_a_geodesic_alone_at_2h_is_its_bundle_row_at_h(model):
     horizon, window = 3.3, (0.0, 3.3)
     P, W = sr.GeodesicSampler(4, 20240809).states(model)
-    bundle = rank_mod._bundle(model, P, W, horizon, 1e-3)
-    sols = rank_mod._propagate_bundle(bundle)
-    events = rank_mod.detect_events(rank_mod._bundle_propagator(bundle, sols), window)
+    bundle = analyzed_bundle(model, P, W, horizon, 1e-3)
+    events = rank_mod.detect_events(bundle_propagator(bundle), window)
     assert any(events)  # the comparison covers conjugate points
     for b in range(len(P)):
         p = sr.Point(P[b])
@@ -468,7 +487,7 @@ def test_a_geodesic_alone_at_2h_is_its_bundle_row_at_h(model):
         assert np.array_equal(traj.points, bundle["X"][:, b])
         assert np.array_equal(profile.frame_components(), bundle["E"][:, b])
         assert np.array_equal(profile.K, bundle["K"][:, b])
-        assert np.array_equal(prop.M, sols["M"][:, b])
+        assert np.array_equal(prop.M, bundle["M"][:, b])
         alone = sr.conjugate_points(prop, window)
         assert [(e.time, e.multiplicity) for e in alone] == [
             (e.time, e.multiplicity) for e in events[b]
@@ -483,21 +502,21 @@ def test_a_geodesic_alone_at_2h_is_its_bundle_row_at_h(model):
 )
 def test_weak_check_propagates_only_for_the_search(monkeypatch, model, side, method):
     calls = []
-    real = rank_mod._propagate_bundle
+    real = rank_mod.solve_jacobi_arrays
 
-    def spy(*args, **kwargs):
-        calls.append(kwargs)
-        return real(*args, **kwargs)
+    def spy(times, K, Kmid, Y0, Yp0):
+        calls.append(Y0.shape[-1])
+        return real(times, K, Kmid, Y0, Yp0)
 
-    monkeypatch.setattr(rank_mod, "_propagate_bundle", spy)
+    monkeypatch.setattr(rank_mod, "solve_jacobi_arrays", spy)
     sampler = sr.GeodesicSampler(6, 3)
     for _ in range(2):
         verdict = sr.check_weak_spherical_rank(model, side, sampler, method=method, chunk=4)
         assert verdict.holds and all(e.passes for e in verdict.evidence)
     assert calls == []
-    # the search propagates once per chunk, with the second fundamental solution
+    # the search propagates once per chunk: both fundamental solutions, 2k = 4 columns
     sr.check_weak_spherical_rank(model, side, sampler, method="search", chunk=4)
-    assert calls == [{"with_second": True}] * 2
+    assert calls == [4, 4]
 
 
 @pytest.mark.parametrize("method", ["witness", "auto"])
@@ -567,13 +586,11 @@ def test_fiber_row_and_search_deviations_equal_the_frame_route(eta, side):
     model = sr.normalize_to_bound(sr.BergerSphere(eta), side)
     sampler = sr.GeodesicSampler(6, 3)
     P, W = sampler.states(model)
-    bundle = rank_mod._bundle(model, P, W, math.pi, model_step(model))
-    sols = rank_mod._propagate_bundle(bundle, with_second=True)
-    times, K = bundle["times"], bundle["K"]
+    bundle = analyzed_bundle(model, P, W, math.pi, model_step(model), frame=False)
+    times, K, M, N = bundle["times"], bundle["K"], bundle["M"], second_solution(bundle)
     fiber = _parallel_deviation(times, K[:, 0])
     searched = [
-        sr.weak_field_search(times, K[:, i], sols["M"][:, i], sols["N"][:, i],
-                             rank_mod.DEFAULT_WEAK_TOL)[0]
+        sr.weak_field_search(times, K[:, i], M[:, i], N[:, i], rank_mod.DEFAULT_WEAK_TOL)[0]
         for i in range(len(P))
     ]
     for method in ("witness", "auto"):
@@ -613,9 +630,8 @@ def test_auto_deviations_equal_the_frame_route(eta):
     sampler = _RolledSampler(sr.GeodesicSampler(6, 3), 5)
     P, W = sampler.states(model)
     tol = rank_mod.DEFAULT_WEAK_TOL
-    bundle = rank_mod._bundle(model, P, W, math.pi, model_step(model))
-    sols = rank_mod._propagate_bundle(bundle, with_second=True)
-    times, K = bundle["times"], bundle["K"]
+    bundle = analyzed_bundle(model, P, W, math.pi, model_step(model))
+    times, K, M, N = bundle["times"], bundle["K"], bundle["M"], second_solution(bundle)
     killing, _ = rank_mod._killing_deviations(model, bundle["V"], tol)
     assert math.isinf(killing[5]) and np.all(np.isfinite(killing[:5]))
     assert (eta < 1) == all(d > tol for d in killing)
@@ -626,7 +642,7 @@ def test_auto_deviations_equal_the_frame_route(eta):
         if dev > tol:
             dev = min(dev, _parallel_deviation(times, K[:, i]))
         if dev > tol:
-            search = sr.weak_field_search(times, K[:, i], sols["M"][:, i], sols["N"][:, i], tol)
+            search = sr.weak_field_search(times, K[:, i], M[:, i], N[:, i], tol)
             dev = min(dev, search[0])
         return dev
 
