@@ -40,8 +40,11 @@ def model_step(model):
 
 def time_grid(horizon, step):
     """Sample times: multiples of ``step`` plus the horizon endpoint."""
-    if not (0 < step < np.inf and 0 < horizon < np.inf):  # NaN fails too
-        raise ParameterError("step and horizon must be positive and finite")
+    # NaN fails too, and a bool is not a step
+    if isinstance(step, bool) or not (0 < step < np.inf and 0 < horizon < np.inf):
+        raise ParameterError(
+            f"step and horizon must be positive finite numbers, got {step!r} and {horizon!r}"
+        )
     if step > horizon:
         raise ParameterError("step must not exceed the horizon")
     n = int(np.floor(horizon / step + 1e-12))
@@ -248,13 +251,12 @@ def transport_arrays(model, times, X, V, Xm, Vm, w0):
     The stages read the model's ``transport_coeffs`` of the node and midpoint
     states, whose first row is the point.
     """
-    m = w0.shape[-2]
     (W,) = _rk4(
         lambda *c: (model.transport_rhs(c[-1], *c[:-1]),),
         (w0,),
         times,
-        nodes=model.transport_coeffs(X, V, m),
-        mids=model.transport_coeffs(Xm, Vm, m),
+        nodes=model.transport_coeffs(X, V),
+        mids=model.transport_coeffs(Xm, Vm),
         project=lambda *c: (model.transport_project(c[-1], *c[:-1]),),
     )
     return W

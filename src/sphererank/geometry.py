@@ -41,27 +41,12 @@ PLANE_GRAM_TOL = 1e-14
 # quaternion and complex helpers
 
 
-_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
-
-
-def _cross3(a, b):
-    """Cross product of 3-vectors, broadcasting over leading axes.
-
-    Component ``i`` is ``a[i+1] b[i+2] - a[i+2] b[i+1]`` (indices mod 3): the
-    products and differences of NumPy's own 3-vector branch, so results are
-    bit-identical, without its axis handling, which costs more than the
-    arithmetic on the small arrays of an RK4 stage.
-    """
-    a1, a2 = a.take(_NEXT, axis=-1), a.take(_PREV, axis=-1)
-    return a1 * b.take(_PREV, axis=-1) - a2 * b.take(_NEXT, axis=-1)
-
-
 def quat_mul(a, b):
     """Hamilton product, broadcasting over leading axes; layout (w, x, y, z)."""
     aw, av = a[..., :1], a[..., 1:]
     bw, bv = b[..., :1], b[..., 1:]
     w = aw * bw - np.add.reduce(av * bv, axis=-1, keepdims=True)
-    v = aw * bv + bw * av + _cross3(av, bv)
+    v = aw * bv + bw * av + np.cross(av, bv)
     return np.concatenate([w, v], axis=-1)
 
 
@@ -83,7 +68,7 @@ def body_components(q, u):
 def ambient_from_body(q, w):
     """The ambient vector ``q * (0, w)`` of the body components ``w`` at ``q``."""
     qw, qv = q[..., :1], q[..., 1:]
-    v = qw * w + _cross3(qv, w)
+    v = qw * w + np.cross(qv, w)
     out = np.empty(v.shape[:-1] + (4,), dtype=v.dtype)
     out[..., 0] = -np.add.reduce(qv * w, axis=-1)
     out[..., 1:] = v
@@ -96,15 +81,9 @@ def jmul(v):
     return np.concatenate([-v[..., m:], v[..., :m]], axis=-1)
 
 
-def _dot(u, v):
-    # np.vecdot: on the small (64, d) arrays of an RK4 stage, np.einsum's
-    # argument handling costs as much as the contraction
-    return np.vecdot(u, v)
-
-
 def _horizontal(u, p, jp):
     """``u`` minus its components along the unit vectors ``p`` and ``jp = jmul(p)``."""
-    return u - _dot(u, p)[..., None] * p - _dot(u, jp)[..., None] * jp
+    return u - np.vecdot(u, p)[..., None] * p - np.vecdot(u, jp)[..., None] * jp
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +181,13 @@ class ManifoldModel:
         x = self.project_point(x)
         return x, self.project_tangent(x, v)
 
-    def transport_coeffs(self, X, V, m):
+    def transport_coeffs(self, X, V):
         """What ``transport_rhs`` reads of the geodesic samples ``X``, ``V``,
         computed once for the whole grid rather than at every RK4 stage.
 
-        Returns arrays with the sample axes of ``X`` followed by a vector
-        axis for the ``m`` transported vectors; the first is the point.  One
-        sample's rows ``c`` give the derivative ``transport_rhs(w, *c)``.
+        Returns arrays with the sample axes of ``X`` followed by a length-1
+        axis that broadcasts over the transported vectors; the first is the
+        point.  One sample's rows ``c`` give the derivative ``transport_rhs(w, *c)``.
         The default is the state itself, (X[..., None, :], V[..., None, :]).
         """
         return X[..., None, :], V[..., None, :]
@@ -231,10 +210,10 @@ class _AmbientSphere(ManifoldModel):
         return self.point_dim
 
     def state_rhs(self, x, v):
-        return v, -_dot(v, v)[..., None] * x
+        return v, -np.vecdot(v, v)[..., None] * x
 
     def transport_rhs(self, w, x, v):
-        return -_dot(w, v)[..., None] * x
+        return -np.vecdot(w, v)[..., None] * x
 
     def tangent_basis(self, p):
         eye = np.eye(self.point_dim)
@@ -256,32 +235,31 @@ class RoundSphere(_AmbientSphere):
     dim: int
 
     def __post_init__(self):
-        if int(self.dim) != self.dim or self.dim < 2:
-            raise ParameterError("RoundSphere dimension must be an integer >= 2")
+        _check_integer(self.dim, 2, "RoundSphere dim")
 
     @property
     def point_dim(self):
         return self.dim + 1
 
     def inner(self, u, v):
-        return _dot(u, v)
+        return np.vecdot(u, v)
 
     def pair_inner(self, A, B):
         return np.matmul(A, np.swapaxes(B, -1, -2))
 
     def curvature(self, x, y, z):
-        return _dot(y, z)[..., None] * x - _dot(x, z)[..., None] * y
+        return np.vecdot(y, z)[..., None] * x - np.vecdot(x, z)[..., None] * y
 
     def curvature_bounds(self):
         return 1.0, 1.0
 
     def project_tangent(self, p, u):
-        return u - _dot(u, p)[..., None] * p
+        return u - np.vecdot(u, p)[..., None] * p
 
     def validate_tangent(self, p, u):
         if u.shape[-1] != self.tangent_dim:
             raise DomainError("wrong ambient dimension for RoundSphere tangent")
-        if abs(float(_dot(u, p))) > TANGENT_ORTHO_TOL * max(1.0, float(np.linalg.norm(u))):
+        if abs(float(np.vecdot(u, p))) > TANGENT_ORTHO_TOL * max(1.0, float(np.linalg.norm(u))):
             raise DomainError("RoundSphere tangent must be orthogonal to its base point")
 
 
@@ -355,14 +333,14 @@ class BergerSphere(ManifoldModel):
     @cached_property
     def _euler_factors(self):
         """(c, R) with 2 (g v x v) / g = (c v_0) (v @ R), as g v x v = (eta^2 - 1) v_0 e_0 x v."""
-        return 2.0 * (1.0 - self.eta**2), _cross3(np.eye(3), np.eye(3)[0])
+        return 2.0 * (1.0 - self.eta**2), np.cross(np.eye(3), np.eye(3)[0])
 
     @cached_property
     def _transport_tensor(self):
         """The C_i, flattened, of dw = w @ L(v), L(v) = sum_i v_i C_i; row k of C_i
         is the derivative of the field e_k along the velocity e_i."""
         g, v, w = self.metric_weights, np.eye(3)[:, None], np.eye(3)
-        return (-_cross3(v, w) + (_cross3(g * w, v) + _cross3(g * v, w)) / g).reshape(3, 9)
+        return (-np.cross(v, w) + (np.cross(g * w, v) + np.cross(g * v, w)) / g).reshape(3, 9)
 
     def state_rhs(self, x, v):
         """Quaternion velocity x @ M(v) and the reduced (Euler) equation on the
@@ -414,8 +392,7 @@ class ComplexProjective(_AmbientSphere):
     n: int
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise ParameterError("ComplexProjective complex dimension must be an integer >= 1")
+        _check_integer(self.n, 1, "ComplexProjective n")
 
     @property
     def dim(self):
@@ -426,16 +403,16 @@ class ComplexProjective(_AmbientSphere):
         return 2 * int(self.n) + 2
 
     def inner(self, u, v):
-        return 4.0 * _dot(u, v)
+        return 4.0 * np.vecdot(u, v)
 
     def pair_inner(self, A, B):
         return 4.0 * np.matmul(A, np.swapaxes(B, -1, -2))
 
     def curvature(self, x, y, z):
         jx, jy, jz = jmul(x), jmul(y), jmul(z)
-        out = _dot(y, z)[..., None] * x - _dot(x, z)[..., None] * y
-        out += _dot(jy, z)[..., None] * jx - _dot(jx, z)[..., None] * jy
-        out += 2.0 * _dot(x, jy)[..., None] * jz
+        out = np.vecdot(y, z)[..., None] * x - np.vecdot(x, z)[..., None] * y
+        out += np.vecdot(jy, z)[..., None] * jx - np.vecdot(jx, z)[..., None] * jy
+        out += 2.0 * np.vecdot(x, jy)[..., None] * jz
         return out
 
     def curvature_bounds(self):
@@ -445,12 +422,12 @@ class ComplexProjective(_AmbientSphere):
         return _horizontal(u, p, jmul(p))
 
     def transport_rhs(self, w, x, v, jx, jv):
-        return super().transport_rhs(w, x, v) - _dot(w, jv)[..., None] * jx
+        return super().transport_rhs(w, x, v) - np.vecdot(w, jv)[..., None] * jx
 
     def transport_project(self, w, x, v, jx, jv):
         return _horizontal(w, x, jx)
 
-    def transport_coeffs(self, X, V, m):
+    def transport_coeffs(self, X, V):
         x, v = X[..., None, :], V[..., None, :]
         return x, v, jmul(x), jmul(v)
 
@@ -467,9 +444,9 @@ class ComplexProjective(_AmbientSphere):
         if u.shape[-1] != self.tangent_dim:
             raise DomainError("wrong ambient dimension for ComplexProjective tangent")
         size = max(1.0, float(np.linalg.norm(u)))
-        if abs(float(_dot(u, p))) > TANGENT_ORTHO_TOL * size:
+        if abs(float(np.vecdot(u, p))) > TANGENT_ORTHO_TOL * size:
             raise DomainError("ComplexProjective tangent must be orthogonal to its base")
-        if abs(float(_dot(u, jmul(p)))) > TANGENT_ORTHO_TOL * size:
+        if abs(float(np.vecdot(u, jmul(p)))) > TANGENT_ORTHO_TOL * size:
             raise DomainError("ComplexProjective tangent must be horizontal")
 
     def point_distance(self, p, q):
@@ -542,8 +519,8 @@ class Scaled(ManifoldModel):
     def transport_rhs(self, w, *c):
         return self.base.transport_rhs(w, *c)
 
-    def transport_coeffs(self, X, V, m):
-        return self.base.transport_coeffs(X, V, m)
+    def transport_coeffs(self, X, V):
+        return self.base.transport_coeffs(X, V)
 
     def transport_project(self, w, *c):
         return self.base.transport_project(w, *c)
@@ -714,12 +691,11 @@ def _sobol_directions(dim):
     return v
 
 
-def _check_count_and_seed(count, seed, count_name):
-    """``ParameterError`` naming the field unless ``count`` is an integer >= 1 and
-    ``seed`` an integer >= 0 (a bool is neither, a NumPy integer is either)."""
-    for name, value, least in ((count_name, count, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-            raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+def _check_integer(value, least, name):
+    """``ParameterError`` naming the field unless ``value`` is an integer >= ``least``
+    (a bool or a float is not, a NumPy integer is)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def sobol_uniforms(dim, count, seed):
@@ -812,9 +788,9 @@ def _berger_plane_samples(core, points, u):
     )
     # orthonormal completion of n in the frame where g is Euclidean
     ref = np.where(np.abs(n[..., :1]) < 0.9, np.eye(3)[0], np.eye(3)[1])
-    v1 = _cross3(n, ref)
+    v1 = np.cross(n, ref)
     v1 /= np.linalg.norm(v1, axis=-1, keepdims=True)
-    v2 = _cross3(n, v1)
+    v2 = np.cross(n, v1)
     scale = np.array([1.0 / core.eta, 1.0, 1.0])  # orthonormal frame -> {i,j,k} coefficients
     return v1 * scale, v2 * scale
 
@@ -825,24 +801,14 @@ def _generic_plane_samples(model, points, u):
     g = gaussians_from_uniforms(u[..., td:])
     w = model.project_tangent(points, g)
     w = w - model.inner(w, a)[..., None] * a
-    norms = np.sqrt(model.inner(w, w))
-    bad = norms < 1e-10
-    if np.any(bad):
-        basis = model.tangent_basis(points)
-        for k in range(basis.shape[-2]):
-            cand = basis[..., k, :]
-            cand = cand - model.inner(cand, a)[..., None] * a
-            cn = np.sqrt(model.inner(cand, cand))
-            take = bad & (cn > 1e-8)
-            w = np.where(take[..., None], cand, w)
-            norms = np.where(take, cn, norms)
-            bad = bad & ~take
-    return a, w / norms[..., None]
+    # a degenerate plane is dropped by ``curvature_scan``'s Gram test
+    return a, w / np.sqrt(model.inner(w, w))[..., None]
 
 
 def curvature_scan(model, sample_count, seed):
     """Deterministic min/max of sectional curvature over sampled 2-planes."""
-    _check_count_and_seed(sample_count, seed, "sample_count")
+    _check_integer(sample_count, 1, "sample_count")
+    _check_integer(seed, 0, "seed")
     core, _ = unwrap(model)
     berger = isinstance(core, BergerSphere)
     dp = model.point_dim

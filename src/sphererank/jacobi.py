@@ -80,6 +80,8 @@ def profile_arrays(model, V, E):
     max|K - K^T| over the samples of each geodesic, of shape (...).  The
     samples are taken ``PROFILE_BLOCK`` at a time, so the temporaries do not
     grow with T; every operation is per sample, so the blocks change no bit.
+    A defect that is not finite means K is not: the integration diverged,
+    and ``DomainError`` is raised.
     """
     K = np.empty(E.shape[:-1] + E.shape[-2:-1])
     defect = np.zeros(E.shape[1:-2])
@@ -89,6 +91,8 @@ def profile_arrays(model, V, E):
         Kt = np.swapaxes(Kb, -1, -2)
         defect = np.maximum(defect, np.max(np.abs(Kb - Kt), axis=(0, -2, -1)))
         K[a : a + PROFILE_BLOCK] = 0.5 * (Kb + Kt)
+    if not np.isfinite(defect).all():
+        raise DomainError("the integration diverged; a smaller step may help")
     return K, defect
 
 
@@ -170,7 +174,6 @@ class JacobiPropagator:
     Mp: np.ndarray
 
     def __post_init__(self):
-        self._sigma = None
         self._theta = None
 
     @property
@@ -178,9 +181,7 @@ class JacobiPropagator:
         return self.M.shape[-1]
 
     def smallest_singular_values(self):
-        if self._sigma is None:
-            self._sigma = np.linalg.svd(self.M, compute_uv=False)[..., -1]
-        return self._sigma
+        return np.linalg.svd(self.M, compute_uv=False)[..., -1]
 
     def _per_geodesic(self, t):
         """``t`` as an array, and the index arrays of the geodesics its times

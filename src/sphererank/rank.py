@@ -15,7 +15,6 @@ sampler seed, tolerances), whatever the chunk size.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -37,7 +36,7 @@ from .geometry import (
     Point,
     Scaled,
     Tangent,
-    _check_count_and_seed,
+    _check_integer,
     curvature_bounds,
     curvature_scan,
     points_from_uniforms,
@@ -92,7 +91,8 @@ class GeodesicSampler:
     stratification: str = STRATIFICATIONS[1]
 
     def __post_init__(self):
-        _check_count_and_seed(self.count, self.seed, "count")
+        _check_integer(self.count, 1, "count")
+        _check_integer(self.seed, 0, "seed")
         if self.stratification not in STRATIFICATIONS:
             raise ParameterError(f"stratification must be one of {STRATIFICATIONS}")
 
@@ -183,11 +183,12 @@ def normalize_to_bound(model, bound):
 # batched pipeline
 
 
-def _check_arguments(chunk, **tolerances):
-    """``ParameterError`` naming the argument unless ``chunk`` is an integer >= 1
-    and every tolerance is finite and positive."""
-    if not (isinstance(chunk, numbers.Integral) and chunk >= 1):
-        raise ParameterError(f"chunk must be an integer >= 1, got {chunk!r}")
+def _check_arguments(chunk, step, **tolerances):
+    """``ParameterError`` naming the argument unless ``chunk`` is an integer >= 1,
+    ``step`` is not a bool, and every tolerance is finite and positive."""
+    _check_integer(chunk, 1, "chunk")
+    if isinstance(step, bool):  # ``time_grid`` would see 2 * step, an int
+        raise ParameterError(f"step must be a number, got {step!r}")
     for name, value in tolerances.items():
         if not 0 < value < math.inf:  # NaN fails too
             raise ParameterError(f"{name} must be finite and positive, got {value!r}")
@@ -210,8 +211,8 @@ def _flow(model, P, W, horizon, step):
 
 
 def _curvature(model, times, X, V):
-    """The curvature profile K of a ``_flow`` bundle, its symmetry defect per
-    geodesic, and K at the interval midpoints.
+    """The curvature profile K of a ``_flow`` bundle and its symmetry defect per
+    geodesic.
 
     The frame, the curvature profile and the Jacobi propagation all run on
     the flow's grid, and the frame reads its midpoint states from
@@ -223,7 +224,7 @@ def _curvature(model, times, X, V):
     E = frame_arrays(model, times, X, V, *hermite_midpoints(model, times, X, V))
     K, defect = profile_arrays(model, V, E)
     del E
-    return K, defect, interval_midpoints(times, K)
+    return K, defect
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +248,12 @@ def check_positive_spherical_rank(
     A geodesic passes when it has a conjugate event within ``time_tol`` of pi
     and none earlier.  Requires sectional curvature at most 1 + ``curv_tol``;
     a violated bound yields the distinct "precondition-failed" status rather
-    than ``holds = False``.  ``step`` None takes ``model_step(model)``.  With
-    ``richardson`` each chunk runs again at ``step / 2`` once its K at
-    ``step`` is freed, and the two runs' event times must agree.
+    than ``holds = False``; the sampled curvature is read from K at ``step``.
+    ``step`` None takes ``model_step(model)``.  With ``richardson`` each
+    chunk runs again at ``step / 2`` once its K at ``step`` is freed, and the
+    two runs' event times must agree.
     """
-    _check_arguments(chunk, time_tol=time_tol, curv_tol=curv_tol, rank_tol=rank_tol)
+    _check_arguments(chunk, step, time_tol=time_tol, curv_tol=curv_tol, rank_tol=rank_tol)
     step = model_step(model) if step is None else step
 
     def unmet(what, sec):
@@ -265,25 +267,25 @@ def check_positive_spherical_rank(
     horizon = max(math.pi, window_end) + 0.05
 
     P, W = sampler.states(model)
-    sampled_sec_max = -math.inf
+    sec_maxima = []
 
     def chunk_evidence(a, b):
         """The chunk's rows at ``step``, then, with Richardson, at ``step / 2``."""
-        nonlocal sampled_sec_max
         runs = []
         for step_ in (step, step / 2.0) if richardson else (step,):
             times, X, V = _flow(model, P[a:b], W[a:b], horizon, step_)
-            K, defect, Kmid = _curvature(model, times, X, V)
+            K, defect = _curvature(model, times, X, V)
             del X, V
-            if not runs:  # the certificates come from the run at ``step``
+            if not runs:  # the certificates and the sampled curvature: the run at ``step``
                 _, cert_dev, cert_resid = spherical_witness(K)
-            M, Mp = solve_jacobi_arrays(times, K, Kmid, np.zeros(K.shape[1:]),
+                stride = max(1, int(SEC_SAMPLE_SPACING / (2 * step) + 1e-9))
+                sec_maxima.append(np.max(np.linalg.eigvalsh(K[::stride])))
+            M, Mp = solve_jacobi_arrays(times, K, interval_midpoints(times, K),
+                                        np.zeros(K.shape[1:]),
                                         np.broadcast_to(np.eye(K.shape[-1]), K.shape[1:]))
-            stride = max(1, int(SEC_SAMPLE_SPACING / (2 * step_) + 1e-9))
-            sampled_sec_max = max(sampled_sec_max, float(np.max(np.linalg.eigvalsh(K[::stride]))))
             prop = JacobiPropagator(CurvatureProfile(None, [], K, defect), times, M, Mp)
             runs.append(detect_events(prop, (0.0, window_end), rank_tol=rank_tol))
-            del K, Kmid, M, Mp, prop  # K is freed before the half run builds its own
+            del K, M, Mp, prop  # K is freed before the half run builds its own
         evidence = []
         for i, events in enumerate(runs[0]):
             at_pi = any(abs(e.time - math.pi) <= time_tol for e in events)
@@ -310,6 +312,7 @@ def check_positive_spherical_rank(
         return evidence
 
     evidence = _by_chunk(len(P), chunk, chunk_evidence)
+    sampled_sec_max = float(max(sec_maxima))
     if sampled_sec_max > 1.0 + curv_tol:
         return unmet("sampled curvature", sampled_sec_max)
 
@@ -436,11 +439,12 @@ def check_weak_spherical_rank(
     Killing field (where ``killing_direction()`` exists), read from the
     curvature tensor along the flow; the parallel field sin(t) c with
     K c = c of ``spherical_witness``, on a frame and K sliced from that flow
-    for the rows still open; then ``weak_field_search``.  ``method`` "auto"
+    for the rows still open; then ``weak_field_search``, on that K sliced
+    again to the rows the parallel field leaves open.  ``method`` "auto"
     runs the whole chain, "witness" stops before the search, and "search"
     runs the search alone.  ``step`` None takes ``model_step(model)``.
     """
-    _check_arguments(chunk, tol=tol)
+    _check_arguments(chunk, step, tol=tol)
     step = model_step(model) if step is None else step
     if side not in BOUNDS:
         raise ParameterError(f"side must be one of {BOUNDS}")
@@ -467,25 +471,27 @@ def check_weak_spherical_rank(
         rows = np.flatnonzero(dev > tol)
         X, V = X[:, rows], V[:, rows]
         if len(rows):
-            K, _, Kmid = _curvature(model, times, X, V)
+            K, _ = _curvature(model, times, X, V)
         del X, V
-        Y = None  # [N M], propagated for the first geodesic that needs the search
-        if len(rows) and method != "search":
-            c, _, resid = spherical_witness(K)
 
         def keep(i, found):
             if found[0] < dev[i]:
                 dev[i], excluded[i] = found[:2]
 
-        for j, i in enumerate(rows):
-            if method != "search" and resid[j] <= max(tol, 1e-8):
-                keep(i, _field_deviation(K[:, j], np.sin(times)[:, None] * c[j], tol))
-            if dev[i] > tol and method != "witness":
-                k = K.shape[-1]
-                if Y is None:  # N(0) = M'(0) = I and N'(0) = M(0) = 0, in one solve
-                    shape = K.shape[1:-1] + (2 * k,)
-                    ics = (np.broadcast_to(np.eye(k, 2 * k, d), shape) for d in (0, k))
-                    Y, _ = solve_jacobi_arrays(times, K, Kmid, *ics)
+        if len(rows) and method != "search":
+            c, _, resid = spherical_witness(K)
+            for j, i in enumerate(rows):
+                if resid[j] <= max(tol, 1e-8):
+                    keep(i, _field_deviation(K[:, j], np.sin(times)[:, None] * c[j], tol))
+        # the search: K, and its midpoints, only for the rows still open
+        still = dev[rows] > tol
+        if method != "witness" and still.any():
+            rows, K = rows[still], K[:, still]  # the full K is freed
+            k = K.shape[-1]
+            # Y = [N M]: N(0) = M'(0) = I and N'(0) = M(0) = 0, in one solve
+            ics = (np.broadcast_to(np.eye(k, 2 * k, d), K.shape[1:-1] + (2 * k,)) for d in (0, k))
+            Y, _ = solve_jacobi_arrays(times, K, interval_midpoints(times, K), *ics)
+            for j, i in enumerate(rows):
                 keep(i, weak_field_search(times, K[:, j], Y[:, j, :, k:], Y[:, j, :, :k], tol))
         return [
             RankEvidence(

@@ -6,18 +6,25 @@ import numpy as np
 
 from sphererank import rank
 from sphererank.geodesics import ParallelField, Trajectory, frame_arrays, hermite_midpoints
-from sphererank.jacobi import CurvatureProfile, JacobiPropagator, solve_jacobi_arrays
+from sphererank.jacobi import (
+    CurvatureProfile,
+    JacobiPropagator,
+    interval_midpoints,
+    solve_jacobi_arrays,
+)
 
 
 def analyzed_bundle(model, P, W, horizon, step, frame=True):
     """A rank chunk's arrays in one dict: ``rank._flow`` at ``step``, then
-    ``rank._curvature`` and the fundamental solution M, M' of the positive check.
+    ``rank._curvature``, K at the interval midpoints, and the fundamental
+    solution M, M' of the positive check.
 
     With ``frame`` the dict also keeps the states X, V and the frame E, which
     ``_curvature`` frees; E is rebuilt here the way ``_curvature`` builds it.
     """
     times, X, V = rank._flow(model, P, W, horizon, step)
-    K, defect, Kmid = rank._curvature(model, times, X, V)
+    K, defect = rank._curvature(model, times, X, V)
+    Kmid = interval_midpoints(times, K)
     M, Mp = solve_jacobi_arrays(times, K, Kmid, np.zeros(K.shape[1:]),
                                 np.broadcast_to(np.eye(K.shape[-1]), K.shape[1:]))
     bundle = {"times": times, "step": 2 * step, "K": K, "defect": defect, "Kmid": Kmid,

@@ -15,7 +15,7 @@ from sphererank.geodesics import (
     time_grid,
     transport_arrays,
 )
-from sphererank.geometry import _cross3, _dot, jmul, pair_inner
+from sphererank.geometry import jmul, pair_inner
 
 
 def _state(model, p, v):
@@ -37,7 +37,8 @@ def test_time_grid():
         sr.time_grid(-1.0, 0.1)
     with pytest.raises(sr.ParameterError):
         sr.time_grid(0.5, 0.6)
-    for horizon, step in ((math.nan, 1e-3), (math.inf, 1e-3), (1.0, math.nan), (1.0, math.inf)):
+    for horizon, step in ((math.nan, 1e-3), (math.inf, 1e-3), (1.0, math.nan), (1.0, math.inf),
+                          (1.0, True)):
         with pytest.raises(sr.ParameterError):
             sr.time_grid(horizon, step)
     m = sr.RoundSphere(2)
@@ -372,8 +373,8 @@ def _old_transport_rhs(model, w, x, v):
     core, _ = sr.unwrap(model)
     if isinstance(core, sr.BergerSphere):
         g = core.metric_weights
-        return -_cross3(v, w) + (_cross3(g * w, v) + _cross3(g * v, w)) / g
-    return -_dot(w, v)[..., None] * x - _dot(w, jmul(v))[..., None] * jmul(x)
+        return -np.cross(v, w) + (np.cross(g * w, v) + np.cross(g * v, w)) / g
+    return -np.vecdot(w, v)[..., None] * x - np.vecdot(w, jmul(v))[..., None] * jmul(x)
 
 
 @pytest.mark.parametrize(

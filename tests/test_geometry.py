@@ -317,6 +317,21 @@ def test_non_finite_model_parameters_are_rejected(build, field, value):
         build(value)
 
 
+@pytest.mark.parametrize(
+    "build, value, field",
+    [(sr.RoundSphere, 3.0, "RoundSphere dim"), (sr.RoundSphere, True, "RoundSphere dim"),
+     (sr.ComplexProjective, True, "ComplexProjective n"),
+     (sr.ComplexProjective, 2.0, "ComplexProjective n"),
+     (sr.ComplexProjective, np.float64(2), "ComplexProjective n")],
+    ids=["sphere-float", "sphere-bool", "cpn-bool", "cpn-float", "cpn-numpy-float"],
+)
+def test_model_dimensions_must_be_integers(build, value, field):
+    # RoundSphere(3.0) failed later in the sampler, and ComplexProjective(True) built CP^1
+    with pytest.raises(sr.ParameterError, match=f"^{field} must be an integer"):
+        build(value)
+    assert build(np.int64(2)).dim == build(2).dim
+
+
 def test_pair_inner_matches_pointwise():
     m = sr.Scaled(sr.BergerSphere(0.9), 1.4)
     rng = np.random.default_rng(8)

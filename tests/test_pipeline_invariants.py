@@ -11,7 +11,7 @@ import pytest
 from bundle_views import bundle_views
 import sphererank as sr
 from sphererank import geodesics
-from sphererank.geometry import _cross3, ambient_from_body, pair_inner, quat_mul
+from sphererank.geometry import ambient_from_body, pair_inner, quat_mul
 
 SEED = 20240809
 EPS = np.finfo(float).eps
@@ -115,17 +115,6 @@ def test_results_bit_identical_across_chunk_sizes():
 def _unit_quaternions(rng, shape):
     q = rng.normal(size=shape + (4,))
     return q / np.linalg.norm(q, axis=-1, keepdims=True)
-
-
-@pytest.mark.parametrize(
-    "shape_a, shape_b", [((64, 3), (64, 3)), ((64, 1, 3), (64, 2, 3)), ((3,), (3,))]
-)
-def test_cross3_is_bitwise_np_cross(shape_a, shape_b):
-    rng = np.random.default_rng(SEED)
-    a, b = rng.normal(size=shape_a), rng.normal(size=shape_b)
-    got, want = _cross3(a, b), np.cross(a, b)
-    assert got.shape == want.shape
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _close_to(got, want):

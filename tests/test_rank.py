@@ -408,9 +408,9 @@ def test_each_chunk_is_released_before_the_next_is_built(monkeypatch):
 
     def spy(*args):
         assert all(ref() is None for ref in built), "an earlier chunk's K is still alive"
-        K, defect, Kmid = real(*args)
+        K, defect = real(*args)
         built.append(weakref.ref(K))
-        return K, defect, Kmid
+        return K, defect
 
     monkeypatch.setattr(rank_mod, "_curvature", spy)
     sampler = sr.GeodesicSampler(5, 3)
@@ -578,6 +578,56 @@ def test_positive_check_reads_its_certificates_once_per_chunk(monkeypatch):
     assert calls == [4, 2]
 
 
+def test_positive_check_reads_its_sampled_curvature_once_per_chunk(monkeypatch):
+    # from the run at the step: the Richardson half run reads no eigvalsh
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        calls.append(a.shape[1])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    verdict = sr.check_positive_spherical_rank(
+        sr.RoundSphere(3), sr.GeodesicSampler(6, 3), richardson=True, chunk=4
+    )
+    assert verdict.holds
+    assert calls == [4, 2]
+
+
+def _rows_per_call(monkeypatch, name):
+    """The number of rows of the K that each call of ``rank.<name>(times, K, ...)``
+    reads, as calls are made."""
+    calls = []
+    real = getattr(rank_mod, name)
+
+    def spy(times, K, *rest):
+        calls.append(K.shape[1])
+        return real(times, K, *rest)
+
+    monkeypatch.setattr(rank_mod, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "model, method, rows",
+    # upper Berger(1.2): the Killing field closes every row but the fiber, and the
+    # parallel field closes the fiber; upper CP^2: the parallel field closes every
+    # row; upper Berger(0.6): every row of both chunks reaches the search
+    [(sr.normalize_to_bound(sr.BergerSphere(1.2), "upper"), "witness", []),
+     (sr.normalize_to_bound(sr.ComplexProjective(2), "upper"), "auto", []),
+     (sr.normalize_to_bound(sr.BergerSphere(0.6), "upper"), "auto", [4, 2])],
+    ids=["berger1.2-upper-witness", "cp2-upper-auto", "berger0.6-upper-auto"],
+)
+def test_weak_check_builds_midpoints_and_solves_only_for_searched_rows(
+    monkeypatch, model, method, rows
+):
+    mids = _rows_per_call(monkeypatch, "interval_midpoints")
+    solves = _rows_per_call(monkeypatch, "solve_jacobi_arrays")
+    sr.check_weak_spherical_rank(model, "upper", sr.GeodesicSampler(6, 3), method=method, chunk=4)
+    assert mids == rows and solves == rows
+
+
 @pytest.mark.parametrize(
     "eta, side", [(1.2, "upper"), (0.8, "lower"), (0.5, "lower")],
     ids=["berger1.2-upper", "berger0.8-lower", "berger0.5-lower"],
@@ -652,6 +702,36 @@ def test_auto_deviations_equal_the_frame_route(eta):
     assert [e.passes for e in verdict.evidence] == [d <= tol for d in expected]
 
 
+def test_a_chunk_of_parallel_and_searched_rows_equals_the_frame_route(monkeypatch):
+    # No built-in model mixes the two in one chunk: upper CP^2's parallel field closes
+    # every row.  A witness whose residual misses on rows 1 and 4 sends those on to
+    # the search, which then solves for them alone.
+    model = sr.normalize_to_bound(sr.ComplexProjective(2), "upper")
+    sampler = sr.GeodesicSampler(6, 3)
+    P, W = sampler.states(model)
+    tol, searched = rank_mod.DEFAULT_WEAK_TOL, [1, 4]
+    bundle = analyzed_bundle(model, P, W, math.pi, model_step(model), frame=False)
+    times, K, M, N = bundle["times"], bundle["K"], bundle["M"], second_solution(bundle)
+    expected = [
+        sr.weak_field_search(times, K[:, i], M[:, i], N[:, i], tol)[0] if i in searched
+        else _parallel_deviation(times, K[:, i])
+        for i in range(len(P))
+    ]
+    assert all(d <= tol for d in expected)
+    real = rank_mod.spherical_witness
+
+    def witness(K):
+        c, deviation, resid = real(K)
+        resid[searched] = math.inf
+        return c, deviation, resid
+
+    monkeypatch.setattr(rank_mod, "spherical_witness", witness)
+    solves = _rows_per_call(monkeypatch, "solve_jacobi_arrays")
+    verdict = sr.check_weak_spherical_rank(model, "upper", sampler, method="auto", chunk=6)
+    assert [e.weak_deviation for e in verdict.evidence] == expected
+    assert solves == [len(searched)]
+
+
 @pytest.mark.parametrize(
     "check, kwargs, name",
     [
@@ -664,6 +744,10 @@ def test_auto_deviations_equal_the_frame_route(eta):
         ("positive", {"rank_tol": math.inf}, "rank_tol"),
         ("weak", {"tol": math.inf}, "tol"),
         ("weak", {"tol": -1e-6}, "tol"),
+        ("positive", {"chunk": True}, "chunk"),
+        ("weak", {"chunk": True}, "chunk"),
+        ("positive", {"step": True}, "step"),
+        ("weak", {"step": True}, "step"),
     ],
 )
 def test_rank_checks_reject_bad_chunks_and_tolerances(check, kwargs, name):
@@ -674,3 +758,50 @@ def test_rank_checks_reject_bad_chunks_and_tolerances(check, kwargs, name):
             sr.check_positive_spherical_rank(sr.Scaled(sr.RoundSphere(2), 0.9), sampler, **kwargs)
         else:
             sr.check_weak_spherical_rank(sr.RoundSphere(2), "upper", sampler, **kwargs)
+
+
+@pytest.mark.parametrize("check", ["positive", "weak"])
+def test_a_diverged_integration_raises_domain_error(check):
+    # at step 1.0 the flow on S^2 blows up (speed 56, then 9e44) and K is not finite
+    sampler = sr.GeodesicSampler(2, 3)
+    with pytest.raises(sr.DomainError, match="diverged"), np.errstate(all="ignore"):
+        if check == "positive":
+            sr.check_positive_spherical_rank(sr.RoundSphere(2), sampler, step=1.0)
+        else:
+            sr.check_weak_spherical_rank(sr.RoundSphere(2), "upper", sampler, step=1.0)
+
+
+# ---------------------------------------------------------------------------
+# the verdict rules at their boundaries
+
+
+@pytest.mark.parametrize("time_tol", [1e-6, 1e-8])
+@pytest.mark.parametrize("sign", [1, -1], ids=["eta-above-1", "eta-below-1"])
+def test_near_round_berger_fails_on_both_sides(time_tol, sign):
+    # Only the failing side is pinned: below the detection floor (|eps| near time_tol)
+    # a non-CROSS passes by design, as passing means "indistinguishable from a CROSS
+    # at this tolerance".  With sec <= 1 no conjugate time precedes pi; the first
+    # events here lie 6 to 126 time_tol after it, so the window reaches past them.
+    model = sr.normalize_to_bound(sr.BergerSphere(1 + sign * 10 * time_tol), "upper")
+    verdict = sr.check_positive_spherical_rank(
+        model, sr.GeodesicSampler(16, 3), time_tol, event_window=math.pi + 1e-3
+    )
+    assert verdict.status == "ok" and not verdict.holds
+    off = [abs(e.events[0].time - math.pi) if e.events else math.inf for e in verdict.evidence]
+    assert sum(d > time_tol for d in off) >= 15  # all but the fiber row of Berger(1 + eps)
+    assert all(not e.passes for e, d in zip(verdict.evidence, off) if d > time_tol)
+
+
+def test_an_event_before_pi_fails_its_geodesic(monkeypatch):
+    # an extra event 50 time_tol before pi, injected into the first geodesic's events
+    time_tol, real = rank_mod.DEFAULT_TIME_TOL, rank_mod.detect_events
+
+    def detect(prop, window, rank_tol):
+        events = real(prop, window, rank_tol=rank_tol)
+        events[0].insert(0, sr.ConjugateEvent(math.pi - 50 * time_tol, 1))
+        return events
+
+    monkeypatch.setattr(rank_mod, "detect_events", detect)
+    verdict = sr.check_positive_spherical_rank(sr.RoundSphere(2), sr.GeodesicSampler(3, 3))
+    assert [e.passes for e in verdict.evidence] == [False, True, True]
+    assert not verdict.holds and verdict.worst_case == 0
