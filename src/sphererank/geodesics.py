@@ -345,9 +345,15 @@ def frame_arrays(model, times, X, V, Xm, Vm):
 
 
 def normal_frame(trajectory):
-    """The dim-1 parallel normal fields along a unit-speed trajectory."""
-    if not trajectory.unit_speed:
+    """The dim-1 parallel normal fields along a unit-speed trajectory.
+
+    A trajectory that starts at unit speed and then drifts from it, or stops
+    being finite, diverged: ``DomainError`` says so, as ``profile_arrays`` does.
+    """
+    if not abs(trajectory.speeds()[0] - 1.0) < UNIT_SPEED_TOL:
         raise DomainError("normal_frame requires a unit-speed trajectory")
+    if not trajectory.unit_speed:
+        raise DomainError("the integration diverged; a smaller step may help")
     model, times, X, V = (
         trajectory.model, trajectory.times, trajectory.points, trajectory.velocities
     )

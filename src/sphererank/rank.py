@@ -8,13 +8,18 @@ advance in lockstep as plain arrays: ``_flow`` integrates their states,
 and each check propagates the Jacobi fundamental solution from K itself
 (the weak check skips the frame where the Killing field gives the answer).
 The frame is freed inside ``_curvature``, the states before propagation,
-a chunk before the next.  Verdicts are deterministic functions of (model,
-sampler seed, tolerances), whatever the chunk size.
+a chunk before the next.  A chunk's Richardson half-step run goes to a
+forked child beside the run at ``step`` when a second core is free
+(``_beside``).  Verdicts are deterministic functions of (model, sampler
+seed, tolerances), whatever the chunk size and either way.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -185,10 +190,14 @@ def normalize_to_bound(model, bound):
 
 def _check_arguments(chunk, step, **tolerances):
     """``ParameterError`` naming the argument unless ``chunk`` is an integer >= 1,
-    ``step`` is not a bool, and every tolerance is finite and positive."""
+    ``step`` is None (the model's step) or a finite positive number that is
+    not a bool, and every tolerance is finite and positive."""
     _check_integer(chunk, 1, "chunk")
     if isinstance(step, bool):  # ``time_grid`` would see 2 * step, an int
         raise ParameterError(f"step must be a number, got {step!r}")
+    if step is not None:
+        # an infinite step is one RK4 step over the whole window
+        tolerances = {"step": step, **tolerances}
     for name, value in tolerances.items():
         if not 0 < value < math.inf:  # NaN fails too
             raise ParameterError(f"{name} must be finite and positive, got {value!r}")
@@ -201,6 +210,72 @@ def _by_chunk(n, size, analyze):
     before the next chunk is built.
     """
     return [r for a in range(0, n, size) for r in analyze(a, min(n, a + size))]
+
+
+def _second_core_free():
+    """Whether a forked child can run beside this process: ``os.fork`` exists,
+    the process may run on at least 2 CPUs, and it runs exactly one OS thread
+    (``/proc/self/task``; where that cannot be read, no).  A fork copies only
+    the calling thread, so a process with more never forks."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return False
+    if len(os.sched_getaffinity(0)) < 2:
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _beside(first, second):
+    """``(first(), second())``, with ``second`` run in a forked child beside
+    ``first`` when ``_second_core_free()``, and after it otherwise.
+
+    The child sends ``second``'s result, or the exception it raised, back
+    pickled through a pipe and ends with ``os._exit``.  The parent always
+    reaps it, killing it first if ``first`` raises, so an exception of
+    ``first`` comes before one of ``second`` on both paths.  Where the fork
+    fails, or the child ends without sending (killed, or its outcome would
+    not pickle), ``second`` runs here after ``first``.
+    """
+    if not _second_core_free():
+        return first(), second()
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return first(), second()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            try:
+                outcome = (True, second())
+            except Exception as exc:  # noqa: BLE001 - raised again in the parent
+                outcome = (False, exc)
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    try:
+        with os.fdopen(read_end, "rb") as pipe:
+            result = first()
+            sent = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if os.waitstatus_to_exitcode(status) != 0:
+        return result, second()
+    ok, value = pickle.loads(sent)
+    if not ok:
+        raise value
+    return result, value
 
 
 def _flow(model, P, W, horizon, step):
@@ -250,8 +325,9 @@ def check_positive_spherical_rank(
     a violated bound yields the distinct "precondition-failed" status rather
     than ``holds = False``; the sampled curvature is read from K at ``step``.
     ``step`` None takes ``model_step(model)``.  With ``richardson`` each
-    chunk runs again at ``step / 2`` once its K at ``step`` is freed, and the
-    two runs' event times must agree.
+    chunk runs again at ``step / 2``, and the two runs' event times must
+    agree; the half run goes to a second core when ``_beside`` finds one
+    free, else it follows once the K at ``step`` is freed.
     """
     _check_arguments(chunk, step, time_tol=time_tol, curv_tol=curv_tol, rank_tol=rank_tol)
     step = model_step(model) if step is None else step
@@ -270,31 +346,43 @@ def check_positive_spherical_rank(
     sec_maxima = []
 
     def chunk_evidence(a, b):
-        """The chunk's rows at ``step``, then, with Richardson, at ``step / 2``."""
-        runs = []
-        for step_ in (step, step / 2.0) if richardson else (step,):
+        """The chunk's rows at ``step`` and, with Richardson, at ``step / 2``
+        beside them (``_beside``)."""
+
+        def curvature(step_):
             times, X, V = _flow(model, P[a:b], W[a:b], horizon, step_)
-            K, defect = _curvature(model, times, X, V)
-            del X, V
-            if not runs:  # the certificates and the sampled curvature: the run at ``step``
-                _, cert_dev, cert_resid = spherical_witness(K)
-                stride = max(1, int(SEC_SAMPLE_SPACING / (2 * step) + 1e-9))
-                sec_maxima.append(np.max(np.linalg.eigvalsh(K[::stride])))
+            return times, *_curvature(model, times, X, V)
+
+        def conjugate_events(times, K, defect):
             M, Mp = solve_jacobi_arrays(times, K, interval_midpoints(times, K),
                                         np.zeros(K.shape[1:]),
                                         np.broadcast_to(np.eye(K.shape[-1]), K.shape[1:]))
             prop = JacobiPropagator(CurvatureProfile(None, [], K, defect), times, M, Mp)
-            runs.append(detect_events(prop, (0.0, window_end), rank_tol=rank_tol))
-            del K, M, Mp, prop  # K is freed before the half run builds its own
+            return detect_events(prop, (0.0, window_end), rank_tol=rank_tol)
+
+        def primary():
+            """The events at ``step``, with the certificates and the sampled
+            curvature read from its K; K is freed on return."""
+            times, K, defect = curvature(step)
+            _, cert_dev, cert_resid = spherical_witness(K)
+            stride = max(1, int(SEC_SAMPLE_SPACING / (2 * step) + 1e-9))
+            sec_maxima.append(np.max(np.linalg.eigvalsh(K[::stride])))
+            return conjugate_events(times, K, defect), cert_dev, cert_resid
+
+        if richardson:
+            (found, cert_dev, cert_resid), halved = _beside(
+                primary, lambda: conjugate_events(*curvature(step / 2.0))
+            )
+        else:
+            found, cert_dev, cert_resid = primary()
         evidence = []
-        for i, events in enumerate(runs[0]):
+        for i, events in enumerate(found):
             at_pi = any(abs(e.time - math.pi) <= time_tol for e in events)
             ok = at_pi and not any(e.time < math.pi - time_tol for e in events)
             gap = None
             if richardson:
-                halved = runs[1][i]
-                diffs = [abs(x.time - y.time) for x, y in zip(events, halved)]
-                gap = max(diffs, default=0.0) if len(events) == len(halved) else math.inf
+                diffs = [abs(x.time - y.time) for x, y in zip(events, halved[i])]
+                gap = max(diffs, default=0.0) if len(events) == len(halved[i]) else math.inf
                 ok = ok and gap <= RICHARDSON_AGREEMENT
             cert = bool(cert_resid[i] <= DEFAULT_CERT_TOL)
             evidence.append(

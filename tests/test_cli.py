@@ -5,6 +5,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sphererank as sr
@@ -342,6 +343,17 @@ def test_non_finite_model_parameters_exit_2(capsys, tmp_path):
         captured = capsys.readouterr()
         assert code == 2, argv
         assert captured.out == "" and field in captured.err, (argv, captured.err)
+
+
+def test_a_diverged_conjugate_run_says_so(capsys):
+    # at step 1.0 the flow on S^2 starts at unit speed and then blows up
+    argv = ["conjugate", "--model", "round", "--dim", "2", "--step", "1.0", "--horizon", "3.5"]
+    with np.errstate(all="ignore"):
+        code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: the integration diverged; a smaller step may help" in captured.err
 
 
 def test_sample_index_outside_the_sampler_exits_2(capsys):

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -413,6 +417,8 @@ def test_each_chunk_is_released_before_the_next_is_built(monkeypatch):
         return K, defect
 
     monkeypatch.setattr(rank_mod, "_curvature", spy)
+    # a forked half run would build its K out of this process's sight
+    monkeypatch.setattr(rank_mod, "_second_core_free", lambda: False)
     sampler = sr.GeodesicSampler(5, 3)
     m = sr.RoundSphere(2)
     assert sr.check_positive_spherical_rank(m, sampler, richardson=True, chunk=2).holds
@@ -439,7 +445,7 @@ def _verdict_digest(verdict):
     )
 
 
-@pytest.mark.parametrize(
+richardson_cases = pytest.mark.parametrize(
     "model, window",
     # horizons pi + 0.05 + 1e-6 and 4.2505: the analysis grids of the step and
     # of its Richardson half (spacings 2e-3 and 1e-3) both end in a short
@@ -448,6 +454,9 @@ def _verdict_digest(verdict):
      (sr.normalize_to_bound(sr.BergerSphere(1.2), "upper"), 4.2005)],
     ids=["round4", "cp2-scaled", "berger1.2-upper"],
 )
+
+
+@richardson_cases
 def test_chunk_size_is_bitwise_invisible_with_richardson(model, window):
     sampler = sr.GeodesicSampler(5, 20240809)
 
@@ -459,6 +468,117 @@ def test_chunk_size_is_bitwise_invisible_with_richardson(model, window):
     small = run(3)
     assert _verdict_digest(small) == _verdict_digest(run(rank_mod.DEFAULT_CHUNK))
     assert all(len(e.events) >= 1 for e in small.evidence)
+
+
+# ---------------------------------------------------------------------------
+# the Richardson half run beside the run at ``step``
+
+
+def _counted_forks(monkeypatch):
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@richardson_cases
+def test_the_forked_half_run_is_bitwise_the_in_process_one(monkeypatch, model, window):
+    sampler = sr.GeodesicSampler(5, 20240809)
+    forks = _counted_forks(monkeypatch)
+    digests = []
+    for forked in (False, True):
+        monkeypatch.setattr(rank_mod, "_second_core_free", lambda: forked)
+        digests.append(_verdict_digest(sr.check_positive_spherical_rank(
+            model, sampler, event_window=window, richardson=True, chunk=3
+        )))
+    assert len(forks) == 2  # one child per chunk, on the forked pass only
+    assert digests[0] == digests[1]
+    _no_child_left()
+
+
+def _failing_curvature(monkeypatch, at_step=None, at_half=None):
+    """``rank._curvature`` raising ``DomainError(at_step)`` on the grid of step
+    2e-3 (spacing 4e-3) and ``DomainError(at_half)`` on that of its half."""
+    real = rank_mod._curvature
+
+    def curvature(model, times, X, V):
+        message = at_half if times[1] - times[0] < 3e-3 else at_step
+        if message is not None:
+            raise sr.DomainError(message)
+        return real(model, times, X, V)
+
+    monkeypatch.setattr(rank_mod, "_curvature", curvature)
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["in-process", "forked"])
+@pytest.mark.parametrize("at_step", [None, "at step"], ids=["half-raises", "both-raise"])
+def test_the_first_error_of_a_chunks_runs_reaches_the_caller(monkeypatch, forked, at_step):
+    monkeypatch.setattr(rank_mod, "_second_core_free", lambda: forked)
+    _failing_curvature(monkeypatch, at_step=at_step, at_half="at step / 2")
+    with pytest.raises(sr.DomainError, match=f"^{at_step or 'at step / 2'}$"):
+        sr.check_positive_spherical_rank(
+            sr.RoundSphere(2), sr.GeodesicSampler(3, 1), step=2e-3, richardson=True
+        )
+    _no_child_left()
+
+
+def test_a_child_that_sends_nothing_has_the_half_run_done_in_process(monkeypatch):
+    # the outcome does not pickle in the child, which then exits without sending
+    sampler = sr.GeodesicSampler(3, 1)
+    monkeypatch.setattr(rank_mod, "_second_core_free", lambda: False)
+    expected = _verdict_digest(sr.check_positive_spherical_rank(
+        sr.RoundSphere(2), sampler, richardson=True
+    ))
+
+    def unpicklable(*args):
+        raise TypeError("cannot pickle")
+
+    monkeypatch.setattr(rank_mod, "_second_core_free", lambda: True)
+    monkeypatch.setattr(rank_mod.pickle, "dumps", unpicklable)
+    forks = _counted_forks(monkeypatch)
+    verdict = sr.check_positive_spherical_rank(sr.RoundSphere(2), sampler, richardson=True)
+    assert len(forks) == 1 and _verdict_digest(verdict) == expected
+    _no_child_left()
+
+
+def test_a_single_threaded_process_forks_the_half_run(monkeypatch):
+    # unpinned BLAS runs threads of its own, so this process never forks;
+    # one pinned to a single thread does, with the digest of the in-process run
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the half run forks only where 2 CPUs are free")
+    code = (
+        "import os, sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "import sphererank as sr\n"
+        "from test_rank import _verdict_digest\n"
+        "forks, real = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or real()\n"
+        "verdict = sr.check_positive_spherical_rank(\n"
+        "    sr.RoundSphere(4), sr.GeodesicSampler(5, 20240809), richardson=True, chunk=3)\n"
+        "print(len(forks))\n"
+        "print(repr(_verdict_digest(verdict)))\n"
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    forks, digest = proc.stdout.splitlines()
+    assert forks == "2"
+    monkeypatch.setattr(rank_mod, "_second_core_free", lambda: False)
+    in_process = sr.check_positive_spherical_rank(
+        sr.RoundSphere(4), sr.GeodesicSampler(5, 20240809), richardson=True, chunk=3
+    )
+    assert digest == repr(_verdict_digest(in_process))
 
 
 # ---------------------------------------------------------------------------
@@ -748,6 +868,9 @@ def test_a_chunk_of_parallel_and_searched_rows_equals_the_frame_route(monkeypatc
         ("weak", {"chunk": True}, "chunk"),
         ("positive", {"step": True}, "step"),
         ("weak", {"step": True}, "step"),
+        # an infinite step would be one RK4 step over the whole window
+        *((check, {"step": step}, "step") for step in (math.inf, math.nan, 0.0, -1.0)
+          for check in ("positive", "weak")),
     ],
 )
 def test_rank_checks_reject_bad_chunks_and_tolerances(check, kwargs, name):
