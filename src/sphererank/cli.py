@@ -24,7 +24,7 @@ import scipy
 
 from . import __version__
 from .errors import ParameterError
-from .geodesics import GeodesicState, geodesic_flow, model_step, normal_frame
+from .geodesics import GeodesicState, geodesic_flow, model_step, normal_frame, positive_step
 from .geometry import (
     BergerSphere,
     ComplexProjective,
@@ -100,7 +100,7 @@ _FLAGS = {
     "--count": _Flag("sampler.count", {"type": int}),
     "--seed": _Flag("sampler.seed", {"type": int}),
     "--stratification": _Flag("sampler.stratification", {"choices": STRATIFICATIONS}),
-    "--step": _Flag("integrator.step", {"type": float, "help": "default: the model's step"}),
+    "--step": _Flag("integrator.step", {"type": float, "help": "default: the command's own step"}),
     "--horizon": _Flag("integrator.horizon", {"type": float}),
     "--time-tol": _Flag("tolerances.time_tol", {"type": float}),
     "--rank-tol": _Flag("tolerances.rank_tol", {"type": float}),
@@ -151,7 +151,7 @@ def validate_manifest(manifest):
     integ = manifest["integrator"]
     for key in ("step", "horizon"):
         if key == "step" and integ[key] is None:
-            continue  # the model's step
+            continue  # the command's own step on the model
         if not (_real(integ[key], f"integrator.{key}") > 0):
             raise ParameterError(f"integrator {key} must be positive")
     for key, val in manifest["tolerances"].items():
@@ -212,10 +212,11 @@ def resolve_model(manifest):
     return model
 
 
-def _step(manifest, model):
-    """The integrator step that runs on ``model``, written into the manifest when null."""
+def _step(manifest, model, default=model_step):
+    """The integrator step that runs on ``model``, written into the manifest when
+    null: ``default(model)``, the command's own step on the model."""
     if manifest["integrator"]["step"] is None:
-        manifest["integrator"]["step"] = model_step(model)
+        manifest["integrator"]["step"] = default(model)
     return float(manifest["integrator"]["step"])
 
 
@@ -404,8 +405,9 @@ def cmd_rank(manifest, args):
     model = resolve_model(manifest)
     tols = manifest["tolerances"]
     sampler = _sampler(manifest)
-    step = _step(manifest, model)
-    if args.property == POSITIVE_SPHERICAL:
+    positive = args.property == POSITIVE_SPHERICAL
+    step = _step(manifest, model, positive_step if positive else model_step)
+    if positive:
         verdict = check_positive_spherical_rank(
             model,
             sampler,

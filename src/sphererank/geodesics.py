@@ -22,20 +22,35 @@ import numpy as np
 from .errors import DomainError, ParameterError
 from .geometry import ManifoldModel, Point, Tangent, make_point
 
-# the default step where |sec| <= 1: every verdict bound stays far clear of the
-# measured error (README, "Step and accuracy"; tests/step_sweep.py)
+# the default steps where |sec| <= 1: every verdict bound stays far clear of the
+# measured error (README, "Step and accuracy"; tests/step_sweep.py).  The weak
+# search's deviation on upper Berger(1.2) sets UNIT_STEP; the positive check's
+# Richardson gap and |t - pi| allow it POSITIVE_UNIT_STEP
 UNIT_STEP = 3.6e-3
+POSITIVE_UNIT_STEP = 6e-3
 UNIT_SPEED_TOL = 1e-8
 # per block: intervals of the flow midpoints, samples of the curvature profile,
 # components of its midpoints
 PROFILE_BLOCK = 64
 
 
+def _curvature_scale(model):
+    """``sqrt(max(1, |sec_min|, |sec_max|))`` from the exact curvature bounds of
+    ``model``: Jacobi fields turn at frequency sqrt(K)."""
+    lo, hi = model.curvature_bounds()
+    return math.sqrt(max(1.0, abs(lo), abs(hi)))
+
+
 def model_step(model):
     """The default step on ``model``: ``UNIT_STEP / sqrt(max(1, |sec_min|, |sec_max|))``
     from its exact curvature bounds, as Jacobi fields turn at frequency sqrt(K)."""
-    lo, hi = model.curvature_bounds()
-    return UNIT_STEP / math.sqrt(max(1.0, abs(lo), abs(hi)))
+    return UNIT_STEP / _curvature_scale(model)
+
+
+def positive_step(model):
+    """The positive check's default step on ``model``: ``POSITIVE_UNIT_STEP`` over
+    the curvature scale of ``model_step``."""
+    return POSITIVE_UNIT_STEP / _curvature_scale(model)
 
 
 def time_grid(horizon, step):

@@ -34,6 +34,7 @@ from .geodesics import (
     geodesic_flow,
     hermite_midpoints,
     model_step,
+    positive_step,
     time_grid,
 )
 from .geometry import (
@@ -190,7 +191,7 @@ def normalize_to_bound(model, bound):
 
 def _check_arguments(chunk, step, **tolerances):
     """``ParameterError`` naming the argument unless ``chunk`` is an integer >= 1,
-    ``step`` is None (the model's step) or a finite positive number that is
+    ``step`` is None (the check's default step) or a finite positive number that is
     not a bool, and every tolerance is finite and positive."""
     _check_integer(chunk, 1, "chunk")
     if isinstance(step, bool):  # ``time_grid`` would see 2 * step, an int
@@ -324,13 +325,15 @@ def check_positive_spherical_rank(
     and none earlier.  Requires sectional curvature at most 1 + ``curv_tol``;
     a violated bound yields the distinct "precondition-failed" status rather
     than ``holds = False``; the sampled curvature is read from K at ``step``.
-    ``step`` None takes ``model_step(model)``.  With ``richardson`` each
+    ``step`` None takes ``positive_step(model)``, 5/3 of ``model_step``: this
+    check's Richardson gap and |t - pi| stay at least 100x inside their
+    bounds there (README, "Step and accuracy").  With ``richardson`` each
     chunk runs again at ``step / 2``, and the two runs' event times must
     agree; the half run goes to a second core when ``_beside`` finds one
     free, else it follows once the K at ``step`` is freed.
     """
     _check_arguments(chunk, step, time_tol=time_tol, curv_tol=curv_tol, rank_tol=rank_tol)
-    step = model_step(model) if step is None else step
+    step = positive_step(model) if step is None else step
 
     def unmet(what, sec):
         detail = f"{what} {sec:.9g} exceeds 1 + {curv_tol:g}"
@@ -662,7 +665,8 @@ def berger_report(etas, sampler, *, step=None, scan_samples=10000,
                   rank_tol=DEFAULT_RANK_TOL, weak_tol=DEFAULT_WEAK_TOL):
     """Survey rows for a list of Berger parameters (curvature range, fiber
     closure time, and the three rank verdicts at the given tolerances); with
-    ``step`` None each stage runs at the ``model_step`` of its own model."""
+    ``step`` None each stage runs at its own default step on its own model:
+    ``positive_step`` for the positive check, ``model_step`` for the rest."""
     etas = list(etas)
     if not etas:
         raise ParameterError("eta list must not be empty")

@@ -2,9 +2,11 @@
 
     PYTHONPATH=src python tests/step_sweep.py [--count 16] [--seed 7]
 
-For the fixed steps 1e-3, 2e-3, 4e-3 and 8e-3, and at the model step (the
-default: ``model_step`` of each case's model, ``UNIT_STEP / sqrt(max(1,
-|sec|))``), it measures, on ``count`` seeded geodesics:
+For the fixed steps 1e-3, 2e-3, 4e-3 and 8e-3, at ``model_step`` of each
+case's model (``UNIT_STEP / sqrt(max(1, |sec|))``), and at each check's own
+default step (``positive_step``, ``POSITIVE_UNIT_STEP`` over the same scale,
+for the positive check; ``model_step`` for the weak check and the fiber
+time), it measures, on ``count`` seeded geodesics:
 
 * the positive check with Richardson on S^4 and on upper-normalized CP^2,
   Berger(1.2) and Berger(2): the largest Richardson gap (bound
@@ -18,8 +20,9 @@ default: ``model_step`` of each case's model, ``UNIT_STEP / sqrt(max(1,
 
 It prints one markdown table: a row per measured quantity, a column per
 step, each cell the error and the wall time of its run.
-``tests/test_step_budget.py`` holds the errors at the model step 100x
-inside their bounds with these functions.  pytest does not collect this file.
+``tests/test_step_budget.py`` holds the errors at the default step
+(``MODEL_STEP``) 100x inside their bounds with these functions.  pytest does
+not collect this file.
 """
 
 import argparse
@@ -29,9 +32,11 @@ import time
 import sphererank as sr
 from sphererank.rank import DEFAULT_TIME_TOL, DEFAULT_WEAK_TOL, RICHARDSON_AGREEMENT
 
-# a step of None is each model's own, the step the checks take by default
+# a step of None is each check's own default on its model; a callable step is
+# that function of the model
 MODEL_STEP = None
-STEPS = (1e-3, 2e-3, 4e-3, 8e-3, MODEL_STEP)
+STEPS = (1e-3, 2e-3, 4e-3, 8e-3, sr.model_step, MODEL_STEP)
+LABELS = {sr.model_step: "model step", MODEL_STEP: "default step"}
 FIBER_ETAS = (0.3, 0.5, 0.8, 1.0, 1.2, 2.0)
 FIBER_TIME_BOUND = 1e-10
 
@@ -49,10 +54,15 @@ WEAK_CASES = {
 }
 
 
+def _step(step, model):
+    return step(model) if callable(step) else step
+
+
 def positive_errors(name, count, seed, step):
     """(largest Richardson gap, largest |t - pi|) of the positive check with Richardson."""
+    model = POSITIVE_CASES[name]
     verdict = sr.check_positive_spherical_rank(
-        POSITIVE_CASES[name], sr.GeodesicSampler(count, seed), step=step, richardson=True
+        model, sr.GeodesicSampler(count, seed), step=_step(step, model), richardson=True
     )
     gap = max(e.richardson_gap for e in verdict.evidence)
     dt = max(abs(ev.time - math.pi) for e in verdict.evidence for ev in e.events)
@@ -63,13 +73,18 @@ def weak_deviation(name, count, seed, step):
     """Largest weak deviation of the weak check."""
     eta, side = WEAK_CASES[name]
     model = sr.normalize_to_bound(sr.BergerSphere(eta), side)
-    verdict = sr.check_weak_spherical_rank(model, side, sr.GeodesicSampler(count, seed), step=step)
+    verdict = sr.check_weak_spherical_rank(
+        model, side, sr.GeodesicSampler(count, seed), step=_step(step, model)
+    )
     return max(e.weak_deviation for e in verdict.evidence)
 
 
 def fiber_time_error(step):
     """Largest |measure_fiber_time(eta) - 2 pi eta| over ``FIBER_ETAS``."""
-    return max(abs(sr.measure_fiber_time(eta, step) - 2 * math.pi * eta) for eta in FIBER_ETAS)
+    return max(
+        abs(sr.measure_fiber_time(eta, _step(step, sr.BergerSphere(eta))) - 2 * math.pi * eta)
+        for eta in FIBER_ETAS
+    )
 
 
 def _timed(fn, *args):
@@ -95,7 +110,7 @@ def main(argv=None):
     parser.add_argument("--count", type=int, default=16, help="geodesics per check")
     parser.add_argument("--seed", type=int, default=7, help="sampler seed")
     args = parser.parse_args(argv)
-    labels = ("model step" if h is MODEL_STEP else f"step {h:g}" for h in STEPS)
+    labels = (LABELS.get(h) or f"step {h:g}" for h in STEPS)
     print(f"| quantity | bound | {' | '.join(labels)} |")
     print(f"|---|---|{'---|' * len(STEPS)}")
     for quantity, bound, cells in sweep(args.count, args.seed):

@@ -43,7 +43,8 @@ def test_null_step_is_the_model_step(capsys, tmp_path):
         path.write_text(json.dumps({"integrator": {"step": bad}}))
         assert cli.main(["scan-curvature", "--count", "8", "--manifest", str(path)]) == 2
         assert "step" in capsys.readouterr().err
-    # the report's manifest shows the step that ran: the model's step unless --step is given
+    # the report's manifest shows the step that ran: the model's step (the positive
+    # check's own on it) unless --step is given
     path.write_text(json.dumps({"integrator": {"step": None}}))
     berger = ["--model", "berger", "--eta", "0.5"]
     low = sr.normalize_to_bound(sr.BergerSphere(0.5), "lower")
@@ -52,6 +53,8 @@ def test_null_step_is_the_model_step(capsys, tmp_path):
         (["conjugate", *berger, "--horizon", "1"], sr.model_step(sr.BergerSphere(0.5))),
         (["rank", "--property", "weak-lower", *berger, "--normalization", "lower"],
          sr.model_step(low)),
+        (["rank", "--property", "positive-spherical", "--model", "round"],
+         sr.positive_step(sr.RoundSphere(3))),
         (["geodesic", *berger, "--horizon", "1", "--step", "0.01"], 0.01),
     ):
         code, report = _run(capsys, argv + ["--count", "2", "--manifest", str(path)])

@@ -11,7 +11,7 @@ import pytest
 from bundle_views import analyzed_bundle, bundle_propagator, second_solution
 import sphererank as sr
 from sphererank import rank as rank_mod
-from sphererank.geodesics import UNIT_STEP, model_step, time_grid
+from sphererank.geodesics import POSITIVE_UNIT_STEP, UNIT_STEP, model_step, positive_step, time_grid
 from sphererank.geometry import unwrap
 
 
@@ -334,17 +334,19 @@ def _evidence_bits(verdict):
 
 def test_checks_default_to_the_model_step():
     # upper Berger(2) has sec down to -2, lower Berger(0.8) up to 3.25: both
-    # run below UNIT_STEP, and the default must be the explicit model step bit for bit
+    # run below their unit steps, and the default must be the explicit step bit
+    # for bit: the positive check's own, model_step for the weak check
     sampler = sr.GeodesicSampler(4, 3)
     up = sr.normalize_to_bound(sr.BergerSphere(2.0), "upper")
     low = sr.normalize_to_bound(sr.BergerSphere(0.8), "lower")
-    for check, model, args in (
-        (sr.check_positive_spherical_rank, up, {"richardson": True}),
-        (sr.check_weak_spherical_rank, low, {"side": "lower"}),
+    assert model_step(up) < positive_step(up) < POSITIVE_UNIT_STEP
+    assert model_step(low) < UNIT_STEP
+    for check, model, step, args in (
+        (sr.check_positive_spherical_rank, up, positive_step(up), {"richardson": True}),
+        (sr.check_weak_spherical_rank, low, model_step(low), {"side": "lower"}),
     ):
-        assert model_step(model) < UNIT_STEP
         default = check(model, sampler=sampler, **args)
-        explicit = check(model, sampler=sampler, step=model_step(model), **args)
+        explicit = check(model, sampler=sampler, step=step, **args)
         assert default.detail == explicit.detail
         assert _evidence_bits(default) == _evidence_bits(explicit)
     fiber = sr.BergerSphere(0.5)
@@ -928,3 +930,69 @@ def test_an_event_before_pi_fails_its_geodesic(monkeypatch):
     verdict = sr.check_positive_spherical_rank(sr.RoundSphere(2), sr.GeodesicSampler(3, 3))
     assert [e.passes for e in verdict.evidence] == [False, True, True]
     assert not verdict.holds and verdict.worst_case == 0
+
+
+def _alter_half_run(monkeypatch, alter):
+    """Patch ``rank._beside`` so that ``alter`` rewrites the Richardson half run's
+    per-geodesic events before the gaps are read."""
+    real = rank_mod._beside
+
+    def beside(first, second):
+        result, halved = real(first, second)
+        return result, alter(halved)
+
+    monkeypatch.setattr(rank_mod, "_beside", beside)
+
+
+def test_an_extra_half_run_event_is_an_infinite_gap(monkeypatch):
+    # a count mismatch between the two runs is an infinite gap, never a gap of zero
+    def extra(halved):
+        halved[0].append(sr.ConjugateEvent(math.pi + 0.1, 1))
+        return halved
+
+    _alter_half_run(monkeypatch, extra)
+    verdict = sr.check_positive_spherical_rank(
+        sr.RoundSphere(3), sr.GeodesicSampler(3, 3), richardson=True
+    )
+    assert verdict.evidence[0].richardson_gap == math.inf
+    assert [e.passes for e in verdict.evidence] == [False, True, True]
+    assert not verdict.holds and verdict.worst_case == 0
+
+
+@pytest.mark.parametrize("shift, passes", [(5e-7, False), (2e-8, True)])
+def test_the_richardson_gap_is_judged_at_1e_7(monkeypatch, shift, passes):
+    # literal shifts on either side of the agreement bound 1e-7, each far from
+    # the discretization gap (< 1e-9 here)
+    _alter_half_run(monkeypatch, lambda halved: [
+        [sr.ConjugateEvent(e.time + shift, e.multiplicity) for e in row] for row in halved
+    ])
+    verdict = sr.check_positive_spherical_rank(
+        sr.RoundSphere(3), sr.GeodesicSampler(3, 3), richardson=True
+    )
+    assert all(abs(e.richardson_gap - shift) < 1e-9 for e in verdict.evidence)
+    assert [e.passes for e in verdict.evidence] == [passes] * 3
+    assert verdict.status == "ok" and verdict.holds == passes
+
+
+def _sphere_above_one():
+    # exact curvature 1 / lam**2 = 1 + 10 curv_tol
+    return sr.Scaled(sr.RoundSphere(3), (1 + 10 * rank_mod.DEFAULT_CURV_TOL) ** -0.5)
+
+
+def test_a_curvature_bound_just_above_one_fails_before_any_flow(monkeypatch):
+    def flow(*args):
+        raise AssertionError("the flow ran")
+
+    monkeypatch.setattr(rank_mod, "_flow", flow)
+    verdict = sr.check_positive_spherical_rank(_sphere_above_one(), sr.GeodesicSampler(2, 3))
+    assert verdict.status == "precondition-failed" and verdict.evidence == []
+    assert verdict.detail.startswith("curvature bound 1.0000001 exceeds")
+
+
+def test_a_sampled_curvature_just_above_one_fails(monkeypatch):
+    # the stated maximum passes; the sampled K, 1 + 10 curv_tol everywhere, must not
+    monkeypatch.setattr(rank_mod, "curvature_bounds",
+                        lambda model: (model.curvature_bounds()[0], 1.0))
+    verdict = sr.check_positive_spherical_rank(_sphere_above_one(), sr.GeodesicSampler(2, 3))
+    assert verdict.status == "precondition-failed" and verdict.evidence == []
+    assert verdict.detail.startswith("sampled curvature 1.0000001 exceeds")
