@@ -202,12 +202,25 @@ class _AmbientSphere(ManifoldModel):
     """Points are unit vectors in R^point_dim and geodesics are great circles.
 
     This holds for the round sphere and, through the horizontal lift, for
-    CP^n; tangents are ambient vectors.
+    CP^n; tangents are ambient vectors.  The metric is ``metric_scale`` times
+    the ambient one; a subclass adds its own terms to the round curvature and
+    tangent checks here.
     """
+
+    metric_scale = 1.0
 
     @property
     def tangent_dim(self):
         return self.point_dim
+
+    def inner(self, u, v):
+        return self.metric_scale * np.vecdot(u, v)
+
+    def pair_inner(self, A, B):
+        return self.metric_scale * np.matmul(A, np.swapaxes(B, -1, -2))
+
+    def curvature(self, x, y, z):
+        return np.vecdot(y, z)[..., None] * x - np.vecdot(x, z)[..., None] * y
 
     def state_rhs(self, x, v):
         return v, -np.vecdot(v, v)[..., None] * x
@@ -227,6 +240,13 @@ class _AmbientSphere(ManifoldModel):
         if abs(np.linalg.norm(p) - 1.0) > POINT_NORM_TOL:
             raise DomainError(f"{name} point must have unit ambient norm")
 
+    def validate_tangent(self, p, u):
+        name = type(self).__name__
+        if u.shape[-1] != self.tangent_dim:
+            raise DomainError(f"wrong ambient dimension for {name} tangent")
+        if abs(float(np.vecdot(u, p))) > TANGENT_ORTHO_TOL * max(1.0, float(np.linalg.norm(u))):
+            raise DomainError(f"{name} tangent must be orthogonal to its base point")
+
 
 @dataclass(frozen=True)
 class RoundSphere(_AmbientSphere):
@@ -241,26 +261,11 @@ class RoundSphere(_AmbientSphere):
     def point_dim(self):
         return self.dim + 1
 
-    def inner(self, u, v):
-        return np.vecdot(u, v)
-
-    def pair_inner(self, A, B):
-        return np.matmul(A, np.swapaxes(B, -1, -2))
-
-    def curvature(self, x, y, z):
-        return np.vecdot(y, z)[..., None] * x - np.vecdot(x, z)[..., None] * y
-
     def curvature_bounds(self):
         return 1.0, 1.0
 
     def project_tangent(self, p, u):
         return u - np.vecdot(u, p)[..., None] * p
-
-    def validate_tangent(self, p, u):
-        if u.shape[-1] != self.tangent_dim:
-            raise DomainError("wrong ambient dimension for RoundSphere tangent")
-        if abs(float(np.vecdot(u, p))) > TANGENT_ORTHO_TOL * max(1.0, float(np.linalg.norm(u))):
-            raise DomainError("RoundSphere tangent must be orthogonal to its base point")
 
 
 @dataclass(frozen=True)
@@ -390,6 +395,7 @@ class ComplexProjective(_AmbientSphere):
     """
 
     n: int
+    metric_scale = 4.0
 
     def __post_init__(self):
         _check_integer(self.n, 1, "ComplexProjective n")
@@ -402,15 +408,9 @@ class ComplexProjective(_AmbientSphere):
     def point_dim(self):
         return 2 * int(self.n) + 2
 
-    def inner(self, u, v):
-        return 4.0 * np.vecdot(u, v)
-
-    def pair_inner(self, A, B):
-        return 4.0 * np.matmul(A, np.swapaxes(B, -1, -2))
-
     def curvature(self, x, y, z):
         jx, jy, jz = jmul(x), jmul(y), jmul(z)
-        out = np.vecdot(y, z)[..., None] * x - np.vecdot(x, z)[..., None] * y
+        out = super().curvature(x, y, z)
         out += np.vecdot(jy, z)[..., None] * jx - np.vecdot(jx, z)[..., None] * jy
         out += 2.0 * np.vecdot(x, jy)[..., None] * jz
         return out
@@ -441,11 +441,8 @@ class ComplexProjective(_AmbientSphere):
         return np.concatenate([zc.real, zc.imag], axis=-1)
 
     def validate_tangent(self, p, u):
-        if u.shape[-1] != self.tangent_dim:
-            raise DomainError("wrong ambient dimension for ComplexProjective tangent")
+        super().validate_tangent(p, u)
         size = max(1.0, float(np.linalg.norm(u)))
-        if abs(float(np.vecdot(u, p))) > TANGENT_ORTHO_TOL * size:
-            raise DomainError("ComplexProjective tangent must be orthogonal to its base")
         if abs(float(np.vecdot(u, jmul(p)))) > TANGENT_ORTHO_TOL * size:
             raise DomainError("ComplexProjective tangent must be horizontal")
 
@@ -745,17 +742,13 @@ def points_from_uniforms(model, u):
 
 
 def tangents_from_uniforms(model, points, u):
-    """Map uniform rows to g-unit tangent vectors at the given points."""
+    """Map uniform rows to g-unit tangent vectors at the given points; ``DomainError``
+    where a row has no tangential part (a substitute would bias the sample)."""
     g = gaussians_from_uniforms(u)
     w = model.project_tangent(points, g)
     norms = np.sqrt(model.inner(w, w))
-    bad = norms < 1e-12
-    if np.any(bad):
-        # deterministic fallback: first usable basis candidate
-        basis = model.tangent_basis(points)
-        repl = basis[..., 0, :]
-        w = np.where(bad[..., None], repl, w)
-        norms = np.sqrt(model.inner(w, w))
+    if np.any(norms < 1e-12):
+        raise DomainError("a sampled direction has no tangential part")
     return w / norms[..., None]
 
 

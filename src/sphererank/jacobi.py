@@ -39,36 +39,26 @@ DEFAULT_RANK_TOL = 1e-7
 class CurvatureProfile:
     """Sampled frame components of the Jacobi operator R(., v)v along a geodesic.
 
-    In the views of a rank bundle that kept only K, ``trajectory`` is None
-    and ``frame`` is empty: what needs either raises ``DomainError``.  The
-    profile of a batched propagator holds the bundle's K, (T, B, k, k), and
-    one symmetry defect per geodesic.
+    ``K`` has shape (T, k, k), one k x k matrix per sample of the trajectory,
+    for the k parallel fields of ``frame``.
     """
 
-    trajectory: Trajectory | None
+    trajectory: Trajectory
     frame: list
     K: np.ndarray
     symmetry_defect: float
 
-    def __post_init__(self):
-        self._mid = None
-
     @property
     def times(self):
-        if self.trajectory is None:
-            raise DomainError("a curvature profile that kept only K has no trajectory")
         return self.trajectory.times
 
     def frame_components(self):
         """The frame fields' components stacked as (T, k, tangent_dim)."""
-        if not self.frame:
-            raise DomainError("a curvature profile that kept only K has no frame")
         return np.stack([f.components for f in self.frame], axis=1)
 
     def midpoints(self):
-        if self._mid is None:
-            self._mid = interval_midpoints(self.times, self.K)
-        return self._mid
+        """K at the interval midpoints (``interval_midpoints``), computed on each call."""
+        return interval_midpoints(self.times, self.K)
 
 
 def profile_arrays(model, V, E):
@@ -161,15 +151,15 @@ def solve_jacobi_arrays(times, K, Kmid, Y0, Yp0):
 class JacobiPropagator:
     """Fundamental solution M(t), M'(t) with M(0) = 0 and M'(0) = identity.
 
+    ``K`` is the curvature it was propagated through (M'' = -K M).  ``K``,
     ``M`` and ``Mp`` have shape (T, k, k) for one geodesic, or (T, B, k, k)
-    for a bundle of B geodesics on one time grid, whose profile's K is then
-    (T, B, k, k) too.  On a batched propagator ``evaluate`` and
-    ``morse_count`` take one time per geodesic on the last axis, shape
-    (..., B); a scalar is the same time for every geodesic.
+    for a bundle of B geodesics on one time grid.  On a batched propagator
+    ``evaluate`` and ``morse_count`` take one time per geodesic on the last
+    axis, shape (..., B); a scalar is the same time for every geodesic.
     """
 
-    profile: CurvatureProfile
     times: np.ndarray
+    K: np.ndarray
     M: np.ndarray
     Mp: np.ndarray
 
@@ -207,7 +197,7 @@ class JacobiPropagator:
         i, s, h = _locate(self.times, t, "propagator")
         ends = (np.array([i, i + 1]),) + g
         M, Mp = self.M[ends], self.Mp[ends]
-        Mpp = -self.profile.K[ends] @ M  # the Jacobi equation
+        Mpp = -self.K[ends] @ M  # the Jacobi equation
         if np.ndim(t):  # a scalar s broadcasts as it is, at a third of the cost of a (1, 1) s
             s, h = s[..., None, None], h[..., None, None]
         return _hermite(s, h, M, Mp)[0], _hermite(s, h, Mp, Mpp)[0]
@@ -253,7 +243,7 @@ class JacobiPropagator:
         """
         t0, t1 = self.times[0], self.times[-1]
         # max |K| from the squared Frobenius norms: no temporaries of the bundle's size
-        K = self.profile.K.reshape(self.profile.K.shape[:-2] + (-1,))
+        K = self.K.reshape(self.K.shape[:-2] + (-1,))
         rate = 2.0 * self.order * max(1.0, math.sqrt(np.vecdot(K, K).max()))
         nodes = np.linspace(t0, t1, int((t1 - t0) * rate / (0.5 * math.pi)) + 2)
         M, Mp = self.evaluate(nodes.reshape(nodes.shape + (1,) * (self.M.ndim - 3)))
@@ -271,7 +261,7 @@ def jacobi_propagate(profile):
     M0 = np.zeros((k, k))
     Mp0 = np.eye(k)
     M, Mp = solve_jacobi_arrays(profile.times, profile.K, profile.midpoints(), M0, Mp0)
-    return JacobiPropagator(profile, profile.times, M, Mp)
+    return JacobiPropagator(profile.times, profile.K, M, Mp)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@ from .geometry import (
 )
 from .jacobi import (
     DEFAULT_RANK_TOL,
-    CurvatureProfile,
     JacobiPropagator,
     _singular_times,
     detect_events,
@@ -232,32 +231,28 @@ def _beside(first, second):
     """``(first(), second())``, with ``second`` run in a forked child beside
     ``first`` when ``_second_core_free()``, and after it otherwise.
 
-    The child sends ``second``'s result, or the exception it raised, back
-    pickled through a pipe and ends with ``os._exit``.  The parent always
-    reaps it, killing it first if ``first`` raises, so an exception of
-    ``first`` comes before one of ``second`` on both paths.  Where the fork
-    fails, or the child ends without sending (killed, or its outcome would
-    not pickle), ``second`` runs here after ``first``.
+    The child sends ``second``'s result back pickled through a pipe and ends
+    with ``os._exit``; the parent always reaps it, killing it first if
+    ``first`` raises.  A child that sends nothing (``second`` raised, it was
+    killed, or its result would not pickle) exits non-zero, and ``second``
+    then runs here after ``first``, so its error carries its own frames.
     """
-    if not _second_core_free():
-        return first(), second()
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
+    pid = None
+    if _second_core_free():
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+    if pid is None:
         return first(), second()
     if pid == 0:
         code = 1
         try:
             os.close(read_end)
-            try:
-                outcome = (True, second())
-            except Exception as exc:  # noqa: BLE001 - raised again in the parent
-                outcome = (False, exc)
             with os.fdopen(write_end, "wb") as pipe:
-                pipe.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+                pipe.write(pickle.dumps(second(), pickle.HIGHEST_PROTOCOL))
             code = 0
         finally:
             os._exit(code)
@@ -273,10 +268,7 @@ def _beside(first, second):
         status = os.waitpid(pid, 0)[1]
     if os.waitstatus_to_exitcode(status) != 0:
         return result, second()
-    ok, value = pickle.loads(sent)
-    if not ok:
-        raise value
-    return result, value
+    return result, pickle.loads(sent)
 
 
 def _flow(model, P, W, horizon, step):
@@ -354,23 +346,23 @@ def check_positive_spherical_rank(
 
         def curvature(step_):
             times, X, V = _flow(model, P[a:b], W[a:b], horizon, step_)
-            return times, *_curvature(model, times, X, V)
+            return times, _curvature(model, times, X, V)[0]
 
-        def conjugate_events(times, K, defect):
+        def conjugate_events(times, K):
             M, Mp = solve_jacobi_arrays(times, K, interval_midpoints(times, K),
                                         np.zeros(K.shape[1:]),
                                         np.broadcast_to(np.eye(K.shape[-1]), K.shape[1:]))
-            prop = JacobiPropagator(CurvatureProfile(None, [], K, defect), times, M, Mp)
+            prop = JacobiPropagator(times, K, M, Mp)
             return detect_events(prop, (0.0, window_end), rank_tol=rank_tol)
 
         def primary():
             """The events at ``step``, with the certificates and the sampled
             curvature read from its K; K is freed on return."""
-            times, K, defect = curvature(step)
+            times, K = curvature(step)
             _, cert_dev, cert_resid = spherical_witness(K)
             stride = max(1, int(SEC_SAMPLE_SPACING / (2 * step) + 1e-9))
             sec_maxima.append(np.max(np.linalg.eigvalsh(K[::stride])))
-            return conjugate_events(times, K, defect), cert_dev, cert_resid
+            return conjugate_events(times, K), cert_dev, cert_resid
 
         if richardson:
             (found, cert_dev, cert_resid), halved = _beside(
@@ -483,7 +475,7 @@ def _field_deviation(K, Y, tol):
     return (math.inf if excluded == len(Y) else float(worst)), int(excluded)
 
 
-def weak_field_search(times, K, M, N, tol):
+def weak_field_search(K, M, N, tol):
     """Normal Jacobi field closest to spanning curvature-1 planes with gamma'.
 
     A normal Jacobi field is J = N a + M b with the precomputed fundamental
@@ -583,7 +575,7 @@ def check_weak_spherical_rank(
             ics = (np.broadcast_to(np.eye(k, 2 * k, d), K.shape[1:-1] + (2 * k,)) for d in (0, k))
             Y, _ = solve_jacobi_arrays(times, K, interval_midpoints(times, K), *ics)
             for j, i in enumerate(rows):
-                keep(i, weak_field_search(times, K[:, j], Y[:, j, :, k:], Y[:, j, :, :k], tol))
+                keep(i, weak_field_search(K[:, j], Y[:, j, :, k:], Y[:, j, :, :k], tol))
         return [
             RankEvidence(
                 index=a + i,

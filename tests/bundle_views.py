@@ -46,26 +46,23 @@ def second_solution(bundle):
 
 
 def bundle_propagator(bundle):
-    """The whole bundle's batched propagator, on a profile that kept only K,
-    as the positive check builds it."""
-    profile = CurvatureProfile(None, [], bundle["K"], bundle["defect"])
-    return JacobiPropagator(profile, bundle["times"], bundle["M"], bundle["Mp"])
+    """The whole bundle's batched propagator, as the positive check builds it."""
+    return JacobiPropagator(bundle["times"], bundle["K"], bundle["M"], bundle["Mp"])
 
 
 def row_views(model, bundle, b):
     """Per-geodesic profile/propagator objects backed by bundle slices.
 
-    A bundle built without a frame gives a profile with no trajectory and no
-    frame fields: its K and the solutions are all detection reads.
+    A bundle built without a frame has no profile: it gives None and the
+    propagator, whose K and solutions are all detection reads.
     """
-    times = bundle["times"]
-    traj, fields = None, []
-    if "E" in bundle:
-        traj = Trajectory(model, times, bundle["X"][:, b], bundle["V"][:, b], bundle["step"])
-        fields = [ParallelField(traj, bundle["E"][:, b, a]) for a in range(bundle["E"].shape[2])]
-    profile = CurvatureProfile(traj, fields, bundle["K"][:, b], float(bundle["defect"][b]))
-    prop = JacobiPropagator(profile, times, bundle["M"][:, b], bundle["Mp"][:, b])
-    return profile, prop
+    times, K = bundle["times"], bundle["K"][:, b]
+    prop = JacobiPropagator(times, K, bundle["M"][:, b], bundle["Mp"][:, b])
+    if "E" not in bundle:
+        return None, prop
+    traj = Trajectory(model, times, bundle["X"][:, b], bundle["V"][:, b], bundle["step"])
+    fields = [ParallelField(traj, bundle["E"][:, b, a]) for a in range(bundle["E"].shape[2])]
+    return CurvatureProfile(traj, fields, K, float(bundle["defect"][b])), prop
 
 
 def bundle_views(model, P, W, horizon, step=1e-3):

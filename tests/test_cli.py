@@ -319,9 +319,11 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
              ({"eta_list": [True]}, "eta_list"),
              ({"model": {"kind": "scaled", "lam": True, "base": {"kind": "round", "dim": 3}}},
               "lam"),
-             ({"tolerances": {"weak_tol": False}}, "weak_tol")]
-    cases += [({section: 5}, section) for section in ("sampler", "integrator", "tolerances",
-                                                      "output")]
+             ({"tolerances": {"weak_tol": False}}, "weak_tol"),
+             ({"normalization": "sideways"}, "normalization"),
+             ({"eta_list": 0.5}, "eta_list")]
+    cases += [({section: 5}, section) for section in ("model", "sampler", "integrator",
+                                                      "tolerances", "output")]
     path = tmp_path / "manifest.json"
     for manifest, key in cases:
         path.write_text(json.dumps(manifest))
@@ -456,6 +458,16 @@ def test_geodesic_command_trace(capsys, tmp_path):
     assert report["payload"]["closure_distance"] < 1e-6
     header = trace.read_text().splitlines()[0]
     assert header == "t,p0,p1,p2,p3,v0,v1,v2,speed"
+
+
+def test_json_output_file_is_the_report_on_stdout(capsys, tmp_path):
+    path = tmp_path / "report.json"
+    argv = ["geodesic", "--model", "round", "--horizon", "1.0", "--count", "4"]
+    code = cli.main(argv + ["--format", "json", "--output", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert path.read_bytes() == captured.out.encode("utf-8")
+    assert json.loads(captured.out)["command"] == "geodesic"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

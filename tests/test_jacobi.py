@@ -127,23 +127,6 @@ def test_bundle_analyzes_on_the_2x_grid_with_curvature_midpoints(horizon):
         assert np.array_equal(profile.midpoints(), bundle["Kmid"][:, b])
 
 
-def test_a_profile_that_kept_only_k_raises_domain_error():
-    m = sr.RoundSphere(3)
-    P, W = sr.GeodesicSampler(2, 5).states(m)
-    profile, _ = row_views(m, analyzed_bundle(m, P, W, 1.0, 0.01, frame=False), 0)
-    x0 = sr.Tangent(sr.Point(P[0]), W[0])
-    calls = [
-        lambda: profile.times,
-        profile.midpoints,
-        lambda: sr.jacobi_propagate(profile),
-        lambda: sr.spherical_field(profile),
-        lambda: sr.verify_sturm_bound(profile, x0, 1.0),
-    ]
-    for call in calls:
-        with pytest.raises(sr.DomainError):
-            call()
-
-
 def test_evaluate_takes_an_array_of_times():
     _, _, prop = _pipeline(sr.RoundSphere(3), [1, 0, 0, 0], [0, 1, 0, 0], 2.0)
     ts = np.array([0.0, 0.31234, 1.0, 2.0])
@@ -418,6 +401,18 @@ def test_nonpositive_rank_tol_rejected():
             sr.check_positive_spherical_rank(
                 sr.RoundSphere(3), sr.GeodesicSampler(2, 1), rank_tol=tol
             )
+
+
+@pytest.mark.parametrize("shift, kept", [(1e-9, False), (1e-12, True)])
+def test_an_event_is_confirmed_at_rank_tol(monkeypatch, shift, kept):
+    # a root moved off the zero of det M leaves sigma_min(M) about shift * |M'|,
+    # on either side of rank_tol * |M'| = 1e-10 * |M'|
+    _, _, prop = _pipeline(sr.RoundSphere(3), [1, 0, 0, 0], [0, 1, 0, 0], 4.0)
+    real = jacobi_mod._singular_times
+    monkeypatch.setattr(jacobi_mod, "_singular_times", lambda *args: real(*args) + shift)
+    events = sr.conjugate_points(prop, (0.0, 4.0), rank_tol=1e-10)
+    expected = [(pytest.approx(math.pi, abs=1e-6), 2)] if kept else []
+    assert [(e.time, e.multiplicity) for e in events] == expected
 
 
 def test_count_on_a_coarse_grid_with_stiff_curvature():

@@ -66,6 +66,13 @@ def test_sampler_takes_numpy_integers():
     assert np.array_equal(P, Q) and np.array_equal(W, V)
 
 
+def test_a_direction_with_no_tangential_part_is_a_domain_error(monkeypatch):
+    # any direction put in its place would bias the sample
+    monkeypatch.setattr(sr.RoundSphere, "project_tangent", lambda self, p, u: np.zeros_like(u))
+    with pytest.raises(sr.DomainError, match="no tangential part"):
+        sr.GeodesicSampler(4, 3).states(sr.RoundSphere(3))
+
+
 # ---------------------------------------------------------------------------
 # normalization
 
@@ -304,9 +311,9 @@ def test_weak_field_search_returns_exact_jacobi_field():
     up = sr.normalize_to_bound(sr.BergerSphere(1.2), "upper")
     P, W = sr.GeodesicSampler(12, 5).states(up)
     bundle = analyzed_bundle(up, P[9:10], W[9:10], math.pi, 1e-3, frame=False)
-    times, K, M = bundle["times"], bundle["K"][:, 0], bundle["M"][:, 0]
+    K, M = bundle["K"][:, 0], bundle["M"][:, 0]
     N = second_solution(bundle)[:, 0]
-    dev, excluded, s = sr.weak_field_search(times, K, M, N, 1e-5)
+    dev, excluded, s = sr.weak_field_search(K, M, N, 1e-5)
     assert dev <= 1e-5 and excluded == 0
     assert np.linalg.norm(s) == pytest.approx(1.0)
     k = K.shape[-1]
@@ -531,6 +538,21 @@ def test_the_first_error_of_a_chunks_runs_reaches_the_caller(monkeypatch, forked
         sr.check_positive_spherical_rank(
             sr.RoundSphere(2), sr.GeodesicSampler(3, 1), step=2e-3, richardson=True
         )
+    _no_child_left()
+
+
+def test_an_error_of_the_forked_half_run_carries_its_own_frames(monkeypatch):
+    # the child sends nothing, and the half run raises again in this process
+    monkeypatch.setattr(rank_mod, "_second_core_free", lambda: True)
+    _failing_curvature(monkeypatch, at_half="at step / 2")
+    with pytest.raises(sr.DomainError, match="^at step / 2$") as info:
+        sr.check_positive_spherical_rank(
+            sr.RoundSphere(2), sr.GeodesicSampler(3, 1), step=2e-3, richardson=True
+        )
+    # on through the half run's lambda and rank's curvature to the patched one here
+    names = [entry.name for entry in info.traceback]
+    assert names[-4:] == ["_beside", "<lambda>", "curvature", "curvature"]
+    assert Path(info.traceback[-1].path) == Path(__file__)
     _no_child_left()
 
 
@@ -762,7 +784,7 @@ def test_fiber_row_and_search_deviations_equal_the_frame_route(eta, side):
     times, K, M, N = bundle["times"], bundle["K"], bundle["M"], second_solution(bundle)
     fiber = _parallel_deviation(times, K[:, 0])
     searched = [
-        sr.weak_field_search(times, K[:, i], M[:, i], N[:, i], rank_mod.DEFAULT_WEAK_TOL)[0]
+        sr.weak_field_search(K[:, i], M[:, i], N[:, i], rank_mod.DEFAULT_WEAK_TOL)[0]
         for i in range(len(P))
     ]
     for method in ("witness", "auto"):
@@ -814,7 +836,7 @@ def test_auto_deviations_equal_the_frame_route(eta):
         if dev > tol:
             dev = min(dev, _parallel_deviation(times, K[:, i]))
         if dev > tol:
-            search = sr.weak_field_search(times, K[:, i], M[:, i], N[:, i], tol)
+            search = sr.weak_field_search(K[:, i], M[:, i], N[:, i], tol)
             dev = min(dev, search[0])
         return dev
 
@@ -835,7 +857,7 @@ def test_a_chunk_of_parallel_and_searched_rows_equals_the_frame_route(monkeypatc
     bundle = analyzed_bundle(model, P, W, math.pi, model_step(model), frame=False)
     times, K, M, N = bundle["times"], bundle["K"], bundle["M"], second_solution(bundle)
     expected = [
-        sr.weak_field_search(times, K[:, i], M[:, i], N[:, i], tol)[0] if i in searched
+        sr.weak_field_search(K[:, i], M[:, i], N[:, i], tol)[0] if i in searched
         else _parallel_deviation(times, K[:, i])
         for i in range(len(P))
     ]
@@ -930,6 +952,33 @@ def test_an_event_before_pi_fails_its_geodesic(monkeypatch):
     verdict = sr.check_positive_spherical_rank(sr.RoundSphere(2), sr.GeodesicSampler(3, 3))
     assert [e.passes for e in verdict.evidence] == [False, True, True]
     assert not verdict.holds and verdict.worst_case == 0
+
+
+@pytest.mark.parametrize("factor, passes", [(1 / 3, False), (3, True)], ids=["d-over-3", "3d"])
+def test_a_weak_row_passes_at_tol(factor, passes):
+    # the fiber row of lower Berger(0.5) closes at a measured deviation d (about
+    # 1.6e-10); a tol on either side of d decides that row, and only it
+    model = sr.normalize_to_bound(sr.BergerSphere(0.5), "lower")
+    sampler = sr.GeodesicSampler(4, 3)
+    d = sr.check_weak_spherical_rank(model, "lower", sampler).evidence[0].weak_deviation
+    verdict = sr.check_weak_spherical_rank(model, "lower", sampler, factor * d)
+    assert [e.passes for e in verdict.evidence] == [passes, True, True, True]
+    assert verdict.holds == passes
+
+
+@pytest.mark.parametrize("resid, found", [(1e-5, False), (1e-7, True)])
+def test_a_certificate_is_found_at_the_cert_tol(monkeypatch, resid, found):
+    # a witness residual on either side of DEFAULT_CERT_TOL (1e-6) on every row
+    real = rank_mod.spherical_witness
+
+    def witness(K):
+        c, deviation, _ = real(K)
+        return c, deviation, np.full(K.shape[1], resid)
+
+    monkeypatch.setattr(rank_mod, "spherical_witness", witness)
+    verdict = sr.check_positive_spherical_rank(sr.ComplexProjective(2), sr.GeodesicSampler(3, 3))
+    assert verdict.holds
+    assert [e.has_certificate for e in verdict.evidence] == [found] * 3
 
 
 def _alter_half_run(monkeypatch, alter):

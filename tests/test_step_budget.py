@@ -1,8 +1,9 @@
 """The default step keeps every error 100x inside the bound that judges it.
 
-Each case runs at the step the checks take by default, ``model_step`` of its
-model.  A later change of ``UNIT_STEP`` or of that rule that eats this margin
-fails here, before it can move a verdict.  ``tests/step_sweep.py`` prints the
+Each case runs at the step its check takes by default on its model:
+``positive_step`` for the positive cases, ``model_step`` for the weak ones.
+A later change of ``POSITIVE_UNIT_STEP``, ``UNIT_STEP`` or of their curvature
+rule that eats this margin fails here, before it can move a verdict.  ``tests/step_sweep.py`` prints the
 same errors over a range of fixed steps and at the model step.
 """
 
