@@ -128,7 +128,7 @@ def _locate(times, t, domain):
     ``t``, which lies the fraction s of the way through it.  ``t`` may be an
     array of times; i, s and h then have its shape."""
     t = np.asarray(t, dtype=float)
-    if (t < times[0] - 1e-12).any() or (t > times[-1] + 1e-12).any():
+    if not ((t >= times[0] - 1e-12) & (t <= times[-1] + 1e-12)).all():  # NaN fails too
         raise ParameterError(f"time outside the {domain} domain")
     i = np.minimum(np.maximum(np.searchsorted(times, t, side="right") - 1, 0), len(times) - 2)
     h = times[i + 1] - times[i]
@@ -286,7 +286,7 @@ def parallel_transport(trajectory, v0, t_from, t_to):
     model = trajectory.model
     times = trajectory.times
     for t in (t_from, t_to):
-        if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
+        if not times[0] - 1e-12 <= t <= times[-1] + 1e-12:  # NaN fails too
             raise ParameterError("transport endpoints must lie in the trajectory domain")
     start = trajectory.state_at(t_from)
     if model.point_distance(start.point.coordinates, v0.base.coordinates) > 1e-8:

@@ -132,7 +132,8 @@ class ManifoldModel:
       ``sec(u, v) = <R(u,v)v, u> / gram``) and ``curvature_bounds()`` --
       the exact (min, max) of sectional curvature;
     * ``project_point(p)``, ``project_tangent(p, u)`` -- maps onto the
-      coordinate constraint set; ``validate_point``, ``validate_tangent``;
+      coordinate constraint set; ``validate_point(p)``,
+      ``validate_tangent(p, u)`` -- ``DomainError`` off it;
     * ``tangent_basis(p)`` -- a deterministic spanning set at ``p``;
     * ``state_rhs(x, v)`` -- the geodesic equation as the derivative of the
       state (point, velocity coordinates);
@@ -143,9 +144,10 @@ class ManifoldModel:
       point of the same rows.
 
     ``canonical_point``, ``point_distance``, ``project_point``,
-    ``project_state``, ``transport_coeffs`` and ``transport_project`` have
-    defaults below, and so do the two hooks of a geometry with
-    distinguished directions:
+    ``project_state``, ``transport_coeffs``, ``transport_project`` and the
+    two checks have defaults below (a point has ``point_dim`` coordinates and
+    unit norm, a tangent ``tangent_dim`` components), and so do the two hooks
+    of a geometry with distinguished directions:
 
     * ``special_directions()`` -- ``{name: (point, tangent components)}``,
       the directions a sampler forces and the CLI selects by name, not
@@ -197,6 +199,19 @@ class ManifoldModel:
         ``transport_coeffs`` rows ``c``, which may carry what it reads."""
         return self.project_tangent(c[0], w)
 
+    def validate_point(self, p):
+        name = type(self).__name__
+        if p.shape[-1] != self.point_dim:
+            raise DomainError(f"{name} point must have {self.point_dim} coordinates")
+        if abs(np.linalg.norm(p) - 1.0) > POINT_NORM_TOL:
+            raise DomainError(f"{name} point must be a unit vector")
+
+    def validate_tangent(self, p, u):
+        if u.shape[-1] != self.tangent_dim:
+            raise DomainError(
+                f"{type(self).__name__} tangent must have {self.tangent_dim} components"
+            )
+
 
 class _AmbientSphere(ManifoldModel):
     """Points are unit vectors in R^point_dim and geodesics are great circles.
@@ -204,7 +219,7 @@ class _AmbientSphere(ManifoldModel):
     This holds for the round sphere and, through the horizontal lift, for
     CP^n; tangents are ambient vectors.  The metric is ``metric_scale`` times
     the ambient one; a subclass adds its own terms to the round curvature and
-    tangent checks here.
+    tangent check here.
     """
 
     metric_scale = 1.0
@@ -233,19 +248,10 @@ class _AmbientSphere(ManifoldModel):
         basis = np.broadcast_to(eye, p.shape[:-1] + eye.shape)
         return self.project_tangent(p[..., None, :], basis)
 
-    def validate_point(self, p):
-        name = type(self).__name__
-        if p.shape[-1] != self.point_dim:
-            raise DomainError(f"wrong ambient dimension for {name} point")
-        if abs(np.linalg.norm(p) - 1.0) > POINT_NORM_TOL:
-            raise DomainError(f"{name} point must have unit ambient norm")
-
     def validate_tangent(self, p, u):
-        name = type(self).__name__
-        if u.shape[-1] != self.tangent_dim:
-            raise DomainError(f"wrong ambient dimension for {name} tangent")
+        super().validate_tangent(p, u)
         if abs(float(np.vecdot(u, p))) > TANGENT_ORTHO_TOL * max(1.0, float(np.linalg.norm(u))):
-            raise DomainError(f"{name} tangent must be orthogonal to its base point")
+            raise DomainError(f"{type(self).__name__} tangent must be orthogonal to its base point")
 
 
 @dataclass(frozen=True)
@@ -280,22 +286,13 @@ class BergerSphere(ManifoldModel):
     """
 
     eta: float
+    dim = 3
+    point_dim = 4
+    tangent_dim = 3
 
     def __post_init__(self):
         if not 0 < self.eta < math.inf:  # NaN fails too
             raise ParameterError(f"BergerSphere eta must be finite and positive, got {self.eta!r}")
-
-    @property
-    def dim(self):
-        return 3
-
-    @property
-    def point_dim(self):
-        return 4
-
-    @property
-    def tangent_dim(self):
-        return 3
 
     @cached_property
     def metric_weights(self):
@@ -371,16 +368,6 @@ class BergerSphere(ManifoldModel):
         eye = np.eye(4)
         basis = np.broadcast_to(eye, p.shape[:-1] + eye.shape)
         return body_components(p[..., None, :], basis)
-
-    def validate_point(self, p):
-        if p.shape[-1] != 4:
-            raise DomainError("BergerSphere point must be a quaternion (4 reals)")
-        if abs(np.linalg.norm(p) - 1.0) > POINT_NORM_TOL:
-            raise DomainError("BergerSphere point must be a unit quaternion")
-
-    def validate_tangent(self, p, u):
-        if u.shape[-1] != 3:
-            raise DomainError("BergerSphere tangent must have 3 frame coefficients")
 
 
 @dataclass(frozen=True)
@@ -461,31 +448,34 @@ class ComplexProjective(_AmbientSphere):
 class Scaled(ManifoldModel):
     """``base`` with its metric multiplied by ``lam**2``.
 
-    Points and tangent components are shared with the base model; only the
-    metric (and therefore sectional curvature, by 1/lam^2) changes.  The
-    (1,3) curvature tensor is scale-invariant.
+    Only ``inner``, ``pair_inner`` and ``curvature_bounds`` (by 1/lam^2)
+    change.  The rest (the (1,3) curvature tensor, the geodesic and transport
+    equations, the projections and checks, the hooks and the sizes) is
+    invariant under a constant rescaling: ``__post_init__`` binds each member
+    named in ``_SHARED`` from ``base`` onto the instance, shadowing the
+    defaults of ``ManifoldModel`` too.  They are bound at construction, so a
+    later change to the base's class is not seen by an existing ``Scaled``;
+    a subclass that overrides one must leave it out of its ``_SHARED``.
     """
 
     base: ManifoldModel
     lam: float
+
+    _SHARED = (
+        "dim", "point_dim", "tangent_dim", "curvature", "project_point",
+        "project_tangent", "project_state", "validate_point", "validate_tangent",
+        "tangent_basis", "state_rhs", "transport_rhs", "transport_coeffs",
+        "transport_project", "canonical_point", "point_distance",
+        "special_directions", "killing_direction",
+    )
 
     def __post_init__(self):
         if not 0 < self.lam < math.inf:  # NaN fails too
             raise ParameterError(f"Scaled lam must be finite and positive, got {self.lam!r}")
         if not isinstance(self.base, ManifoldModel):
             raise ParameterError("Scaled base must be a manifold model")
-
-    @property
-    def dim(self):
-        return self.base.dim
-
-    @property
-    def point_dim(self):
-        return self.base.point_dim
-
-    @property
-    def tangent_dim(self):
-        return self.base.tangent_dim
+        for name in self._SHARED:
+            object.__setattr__(self, name, getattr(self.base, name))
 
     def inner(self, u, v):
         return self.lam**2 * self.base.inner(u, v)
@@ -493,55 +483,9 @@ class Scaled(ManifoldModel):
     def pair_inner(self, A, B):
         return self.lam**2 * self.base.pair_inner(A, B)
 
-    def curvature(self, x, y, z):
-        return self.base.curvature(x, y, z)
-
     def curvature_bounds(self):
         lo, hi = self.base.curvature_bounds()
         return lo / self.lam**2, hi / self.lam**2
-
-    def project_point(self, p):
-        return self.base.project_point(p)
-
-    def project_tangent(self, p, u):
-        return self.base.project_tangent(p, u)
-
-    def project_state(self, x, v):
-        return self.base.project_state(x, v)
-
-    def state_rhs(self, x, v):
-        # the geodesic and transport equations are invariant under constant rescaling
-        return self.base.state_rhs(x, v)
-
-    def transport_rhs(self, w, *c):
-        return self.base.transport_rhs(w, *c)
-
-    def transport_coeffs(self, X, V):
-        return self.base.transport_coeffs(X, V)
-
-    def transport_project(self, w, *c):
-        return self.base.transport_project(w, *c)
-
-    def canonical_point(self, p):
-        return self.base.canonical_point(p)
-
-    def tangent_basis(self, p):
-        return self.base.tangent_basis(p)
-
-    def validate_point(self, p):
-        self.base.validate_point(p)
-
-    def validate_tangent(self, p, u):
-        self.base.validate_tangent(p, u)
-
-    def point_distance(self, p, q):
-        return self.base.point_distance(p, q)
-
-    def special_directions(self):
-        return self.base.special_directions()
-
-    def killing_direction(self):
-        return self.base.killing_direction()
 
 
 def unwrap(model):

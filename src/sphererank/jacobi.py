@@ -198,8 +198,7 @@ class JacobiPropagator:
         ends = (np.array([i, i + 1]),) + g
         M, Mp = self.M[ends], self.Mp[ends]
         Mpp = -self.K[ends] @ M  # the Jacobi equation
-        if np.ndim(t):  # a scalar s broadcasts as it is, at a third of the cost of a (1, 1) s
-            s, h = s[..., None, None], h[..., None, None]
+        s, h = s[..., None, None], h[..., None, None]
         return _hermite(s, h, M, Mp)[0], _hermite(s, h, Mp, Mpp)[0]
 
     def morse_count(self, t):
@@ -218,8 +217,9 @@ class JacobiPropagator:
         """
         t, g = self._per_geodesic(t)
         count = np.zeros(t.shape, dtype=int)
-        # M(0) = 0 is the initial condition, not a conjugate point
-        live = t > self.times[0]
+        # M(0) = 0 is the initial condition, not a conjugate point; a NaN
+        # time is live, and ``_locate`` rejects it
+        live = ~(t <= self.times[0])
         if live.any():
             if self._theta is None:
                 self._theta = self._theta_nodes()
@@ -370,17 +370,15 @@ def detect_events(propagator, window, rank_tol=DEFAULT_RANK_TOL):
     if t0 < times[0] - 1e-9 or t1 > times[-1] + 1e-9:
         raise ParameterError("window must lie inside the propagator domain")
     t1 = min(t1, float(times[-1]))  # the interpolant ends at the last sample
-    batched = propagator.M.ndim == 4
+    single = propagator.M.ndim == 3
+    if single:
+        p = propagator
+        propagator = JacobiPropagator(times, p.K[:, None], p.M[:, None], p.Mp[:, None])
     M, Mp = propagator.M, propagator.Mp
-    if not batched:
-        M, Mp = M[:, None], Mp[:, None]
     n = M.shape[1]
 
-    def count(t):  # one time per geodesic; a single propagator takes a scalar
-        return np.reshape(propagator.morse_count(t if batched else float(t[0])), n)
-
     found = []  # (geodesic, time, multiplicity)
-    for g, brackets in enumerate(_brackets(times, count, n, t0, t1)):
+    for g, brackets in enumerate(_brackets(times, propagator.morse_count, n, t0, t1)):
         for a, b, jump in brackets:
             roots = _singular_times(times, M[:, g], Mp[:, g], a, b)
             if len(roots) != jump:
@@ -390,12 +388,12 @@ def detect_events(propagator, window, rank_tol=DEFAULT_RANK_TOL):
     events = [[] for _ in range(n)]
     if found:
         g, t, multiplicity = (np.array(c) for c in zip(*found))
-        Mt, Mpt = propagator._interpolate(t, (g,) if batched else ())
+        Mt, Mpt = propagator._interpolate(t, (g,))
         sigma = np.linalg.svd(Mt, compute_uv=False)[..., -1]
         norm = np.linalg.norm(Mpt, 2, axis=(-2, -1))
         for i in np.flatnonzero(sigma < rank_tol * np.maximum(norm, 1e-300)):
             events[g[i]].append(ConjugateEvent(float(t[i]), int(multiplicity[i])))
-    return events if batched else events[0]
+    return events[0] if single else events
 
 
 conjugate_points = detect_events
@@ -411,7 +409,7 @@ def fixed_endpoint_index(propagator, L):
     if propagator.M.ndim != 3:
         raise ParameterError("fixed_endpoint_index takes a single propagator, not a bundle")
     times = propagator.times
-    if L <= times[0] or L > times[-1] + 1e-12:
+    if not times[0] < L <= times[-1] + 1e-12:  # NaN fails too
         raise ParameterError("endpoint outside the propagator domain")
     below = propagator.morse_count(L - 1e-6)
     if propagator.morse_count(min(float(times[-1]), L + 1e-6)) != below:
@@ -453,6 +451,8 @@ def spherical_witness(K):
 
 def spherical_field(profile, tol=1e-6):
     """Certificate for a parallel unit normal field spanning curvature-1 planes."""
+    if not 0 < tol < math.inf:  # NaN fails too
+        raise ParameterError(f"tol must be finite and positive, got {tol!r}")
     E = profile.frame_components()
     eigmax = float(np.max(np.linalg.eigvalsh(profile.K)))
     if eigmax > 1.0 + tol:
@@ -489,7 +489,7 @@ def verify_sturm_bound(profile, x0, horizon, tol=1e-7, xp0=None):
     has no radial part (<X'(0), X(0)> = 0) and its transverse part is the
     optional ``xp0`` (default zero).  Valid for horizons up to pi/2.
     """
-    if horizon <= 0 or horizon > math.pi / 2 + 1e-12:
+    if not 0 < horizon <= math.pi / 2 + 1e-12:  # NaN fails too
         raise ParameterError("comparison horizon must lie in (0, pi/2]")
     times = profile.times
     if horizon > times[-1] + 1e-12:

@@ -67,8 +67,6 @@ DEFAULT_TIME_TOL = 1e-6
 DEFAULT_CURV_TOL = 1e-8
 DEFAULT_WEAK_TOL = 1e-5
 RICHARDSON_AGREEMENT = 1e-7
-# arc length between the curvature samples the positive check's eigvalsh reads
-SEC_SAMPLE_SPACING = 8e-3
 
 POSITIVE_SPHERICAL = "positive-spherical"
 # the curvature bound (``bound`` / ``side``) each weak property normalizes to
@@ -188,17 +186,18 @@ def normalize_to_bound(model, bound):
 # batched pipeline
 
 
-def _check_arguments(chunk, step, **tolerances):
+def _check_arguments(chunk, lengths, **tolerances):
     """``ParameterError`` naming the argument unless ``chunk`` is an integer >= 1,
-    ``step`` is None (the check's default step) or a finite positive number that is
-    not a bool, and every tolerance is finite and positive."""
+    each of the ``lengths`` (name: value; the step, the event window) is None
+    (the check's default) or a finite positive number that is not a bool, and
+    every tolerance is finite and positive."""
     _check_integer(chunk, 1, "chunk")
-    if isinstance(step, bool):  # ``time_grid`` would see 2 * step, an int
-        raise ParameterError(f"step must be a number, got {step!r}")
-    if step is not None:
-        # an infinite step is one RK4 step over the whole window
-        tolerances = {"step": step, **tolerances}
-    for name, value in tolerances.items():
+    for name, value in lengths.items():
+        if isinstance(value, bool):  # ``time_grid`` would see 2 * step, an int
+            raise ParameterError(f"{name} must be a number, got {value!r}")
+    # an infinite step is one RK4 step over the whole window
+    given = {name: value for name, value in lengths.items() if value is not None}
+    for name, value in {**given, **tolerances}.items():
         if not 0 < value < math.inf:  # NaN fails too
             raise ParameterError(f"{name} must be finite and positive, got {value!r}")
 
@@ -324,7 +323,8 @@ def check_positive_spherical_rank(
     agree; the half run goes to a second core when ``_beside`` finds one
     free, else it follows once the K at ``step`` is freed.
     """
-    _check_arguments(chunk, step, time_tol=time_tol, curv_tol=curv_tol, rank_tol=rank_tol)
+    _check_arguments(chunk, {"step": step, "event_window": event_window},
+                     time_tol=time_tol, curv_tol=curv_tol, rank_tol=rank_tol)
     step = positive_step(model) if step is None else step
 
     def unmet(what, sec):
@@ -360,8 +360,7 @@ def check_positive_spherical_rank(
             curvature read from its K; K is freed on return."""
             times, K = curvature(step)
             _, cert_dev, cert_resid = spherical_witness(K)
-            stride = max(1, int(SEC_SAMPLE_SPACING / (2 * step) + 1e-9))
-            sec_maxima.append(np.max(np.linalg.eigvalsh(K[::stride])))
+            sec_maxima.append(np.max(np.linalg.eigvalsh(K)))
             return conjugate_events(times, K), cert_dev, cert_resid
 
         if richardson:
@@ -527,7 +526,7 @@ def check_weak_spherical_rank(
     runs the whole chain, "witness" stops before the search, and "search"
     runs the search alone.  ``step`` None takes ``model_step(model)``.
     """
-    _check_arguments(chunk, step, tol=tol)
+    _check_arguments(chunk, {"step": step}, tol=tol)
     step = model_step(model) if step is None else step
     if side not in BOUNDS:
         raise ParameterError(f"side must be one of {BOUNDS}")

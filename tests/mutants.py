@@ -1,10 +1,10 @@
-"""Mutation probe of the verdict rules: which test, if any, catches each edit.
+"""Mutation probe of the verdict rules and the model layer: which test catches each edit.
 
     PYTHONPATH=src python tests/mutants.py WORKDIR [M2 M7 ...]
 
-``MUTANTS`` holds one-line edits of the verdict rules, each as data: the
-file, the exact old text (it must occur once), the new text, and the rule
-that the edit breaks.  For each named mutant (all of them when none is
+``MUTANTS`` holds one-line edits of those rules, each as data: the file,
+the exact old text (it must occur once), the new text, and the rule that
+the edit breaks.  For each named mutant (all of them when none is
 named) the script copies the working tree (the files git tracks, plus the
 untracked ones it does not ignore) to ``WORKDIR/<mutant>``, applies the
 edit there and runs Tier-1 in that copy with ``-x``.  It prints one line
@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 RANK, CLI, JACOBI = "src/sphererank/rank.py", "src/sphererank/cli.py", "src/sphererank/jacobi.py"
+GEOMETRY = "src/sphererank/geometry.py"
 
 
 class Mutant(NamedTuple):
@@ -105,6 +106,18 @@ MUTANTS = {
         "code = 0 if verdict.holds else 1",
         "code = 0",
         "a failing verdict exits 1",
+    ),
+    "M15": Mutant(
+        GEOMETRY,
+        '"special_directions", "killing_direction",\n',
+        '"special_directions", "killing_direction", "curvature_bounds",\n',
+        "a scaled model's curvature bounds scale by 1/lam^2",
+    ),
+    "M16": Mutant(
+        GEOMETRY,
+        '"transport_project", "canonical_point",',
+        '"transport_project",',
+        "a scaled model keeps its base's canonical_point",
     ),
 }
 

@@ -355,6 +355,22 @@ def test_state_at_interpolation():
         traj.state_at(5.0)
 
 
+@pytest.mark.parametrize(
+    "ask",
+    [lambda traj, v0: traj.state_at(math.nan),
+     lambda traj, v0: sr.parallel_transport(traj, v0, math.nan, 1.0),
+     lambda traj, v0: sr.parallel_transport(traj, v0, 0.0, math.nan)],
+    ids=["state_at", "transport-from", "transport-to"],
+)
+def test_a_nan_time_is_outside_the_trajectory_domain(ask):
+    # both comparisons of a NaN with the domain's ends are False: it gave NaN states
+    m = sr.RoundSphere(2)
+    traj = sr.geodesic_flow(m, _state(m, [0, 0, 1], [1, 0, 0]), 2.0, 1e-3)
+    v0 = sr.Tangent(sr.Point(traj.points[0]), traj.velocities[0])
+    with pytest.raises(sr.ParameterError, match="domain"):
+        ask(traj, v0)
+
+
 def test_flow_parameter_errors():
     m = sr.RoundSphere(2)
     st = _state(m, [0, 0, 1], [1, 0, 0])

@@ -295,6 +295,112 @@ def test_frame_factory():
         sr.make_frame(m, p, [e1, e1])
 
 
+# the interface of ``ManifoldModel``'s docstring.  A constant rescaling of the
+# metric changes only the names of METRIC; ``Scaled`` answers every other as
+# its base does
+INTERFACE = (
+    "dim", "point_dim", "tangent_dim", "inner", "pair_inner", "curvature",
+    "curvature_bounds", "project_point", "project_tangent", "validate_point",
+    "validate_tangent", "tangent_basis", "state_rhs", "transport_rhs",
+    "transport_project", "canonical_point", "point_distance", "project_state",
+    "transport_coeffs", "special_directions", "killing_direction",
+)
+METRIC = ("inner", "pair_inner", "curvature_bounds")
+SCALED_CASES = [
+    (sr.Scaled(sr.RoundSphere(3), 1.3), sr.RoundSphere(3)),
+    (sr.Scaled(sr.ComplexProjective(2), 1.3), sr.ComplexProjective(2)),
+    (sr.Scaled(sr.BergerSphere(0.8), 1.3), sr.BergerSphere(0.8)),
+    (sr.Scaled(sr.Scaled(sr.BergerSphere(0.8), 1.3), 0.7), sr.BergerSphere(0.8)),
+]
+SCALED_IDS = ["round3", "cp2", "berger0.8", "nested-berger0.8"]
+
+
+def _interface_inputs(model):
+    """Argument tuples for each callable interface name, off and on the constraint set."""
+    P, W = sr.GeodesicSampler(5, 7).states(model)
+    rng = np.random.default_rng(11)
+    near = P + 0.1 * rng.normal(size=P.shape)
+    R = rng.normal(size=W.shape)
+    w = rng.normal(size=(5, 2, model.tangent_dim))
+    c = model.transport_coeffs(P, W)
+    return {
+        "inner": [(W, R)],
+        "pair_inner": [(w, w[:, :1])],
+        "curvature": [(W, R, R[::-1])],
+        "curvature_bounds": [()],
+        "project_point": [(near,)],
+        "project_tangent": [(P, R)],
+        "validate_point": [(P[0],), (2.0 * P[0],), (P[0, :-1],)],
+        "validate_tangent": [(P[0], W[0]), (P[0], R[0]), (P[0], W[0, :-1])],
+        "tangent_basis": [(P,)],
+        "state_rhs": [(P, W)],
+        "transport_rhs": [(w, *c)],
+        "transport_project": [(w, *c)],
+        "canonical_point": [(near,)],
+        "point_distance": [(P[0], P[1]), (P[0], -P[0])],
+        "project_state": [(near, R)],
+        "transport_coeffs": [(P, W)],
+        "special_directions": [()],
+        "killing_direction": [()],
+    }
+
+
+def _answer(member, args):
+    """The value of ``member(*args)``, or the type and text of what it raised."""
+    try:
+        return member(*args)
+    except sr.DomainError as exc:
+        return type(exc), str(exc)
+
+
+def _same_bits(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_bits(a[k], b[k]) for k in a)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same_bits, a, b))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("scaled, core", SCALED_CASES, ids=SCALED_IDS)
+def test_scaled_answers_every_unscaled_name_as_its_base(scaled, core):
+    inputs = _interface_inputs(core)
+    for name in INTERFACE:
+        if name in METRIC:
+            continue
+        if name in inputs:
+            for args in inputs[name]:
+                got = _answer(getattr(scaled, name), args)
+                assert _same_bits(got, _answer(getattr(core, name), args)), (name, args)
+        else:
+            assert _same_bits(getattr(scaled, name), getattr(core, name)), name
+
+
+@pytest.mark.parametrize("scaled, core", SCALED_CASES, ids=SCALED_IDS)
+def test_scaled_metric_names_scale_by_lam_squared(scaled, core):
+    _, lam = sr.unwrap(scaled)
+    inputs = _interface_inputs(core)
+    for name in ("inner", "pair_inner"):
+        for args in inputs[name]:
+            assert np.allclose(getattr(scaled, name)(*args), lam**2 * getattr(core, name)(*args),
+                               rtol=1e-14, atol=0.0)
+    lo, hi = core.curvature_bounds()
+    assert scaled.curvature_bounds() == (pytest.approx(lo / lam**2, rel=1e-14),
+                                         pytest.approx(hi / lam**2, rel=1e-14))
+
+
+@pytest.mark.parametrize(
+    "coordinates, text",
+    [([1.0, 0.0, 0.0], "must have 4 coordinates"), ([1.0, 1.0, 0.0, 0.0], "must be a unit vector")],
+    ids=["wrong-size", "not-unit"],
+)
+def test_berger_points_are_checked(coordinates, text):
+    with pytest.raises(sr.DomainError, match=f"^BergerSphere point {text}"):
+        sr.make_point(sr.BergerSphere(0.8), coordinates)
+
+
 def test_model_parameter_validation():
     with pytest.raises(sr.ParameterError):
         sr.RoundSphere(1)

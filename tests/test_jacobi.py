@@ -269,12 +269,14 @@ def test_richardson_gap_measures_the_discretization():
         assert 0.0 < e.richardson_gap <= 1e-7
 
 
-def test_zeros_that_miss_the_count_jump_raise():
+def test_zeros_that_miss_the_count_jump_raise(monkeypatch):
     # a count jump without the zeros of det M to match is an error: no event
-    # is dropped or invented
+    # is dropped or invented.  The fault is on the class: detection runs a
+    # single propagator as a batch of one, on a propagator of its own
     _, _, prop = _pipeline(sr.RoundSphere(3), [1, 0, 0, 0], [0, 1, 0, 0], 4.0)
-    count = prop.morse_count
-    prop.morse_count = lambda t: count(t) + int(t > 2.0)
+    count = sr.JacobiPropagator.morse_count
+    monkeypatch.setattr(sr.JacobiPropagator, "morse_count",
+                        lambda self, t: count(self, t) + (np.asarray(t) > 2.0))
     with pytest.raises(sr.DomainError):
         sr.conjugate_points(prop, (0.0, 4.0))
 
@@ -360,6 +362,20 @@ def test_fixed_endpoint_index():
             assert sr.fixed_endpoint_index(ps, L) == (n - 1) * math.floor(L / math.pi)
         with pytest.raises(sr.AmbiguousEndpointError):
             sr.fixed_endpoint_index(ps, 2 * math.pi)
+
+
+@pytest.mark.parametrize(
+    "ask",
+    [lambda prop: prop.evaluate(math.nan), lambda prop: prop.morse_count(math.nan),
+     lambda prop: sr.fixed_endpoint_index(prop, math.nan)],
+    ids=["evaluate", "morse_count", "fixed_endpoint_index"],
+)
+def test_a_nan_time_is_outside_the_propagator_domain(ask):
+    # a NaN time gave NaN matrices, a count of 0, and an ambiguous endpoint
+    _, _, prop = _pipeline(sr.RoundSphere(3), [1, 0, 0, 0], [0, 1, 0, 0], 4.0, step=1e-2)
+    with pytest.raises(sr.ParameterError, match="domain"):
+        ask(prop)
+    assert prop.morse_count(0.0) == prop.morse_count(-1.0) == 0  # i(t) = 0 for t <= 0
 
 
 def test_fixed_endpoint_index_rejects_a_bundle():
@@ -547,6 +563,15 @@ def test_spherical_field_curvature_precondition():
         sr.spherical_field(profile, 1e-6)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
+def test_spherical_field_rejects_a_tol_that_is_not_finite_and_positive(tol):
+    # a NaN tol turned off both checks, and the curvature 1.44 > 1 got a certificate
+    m = sr.BergerSphere(1.2)
+    _, profile, _ = _pipeline(m, [1, 0, 0, 0], _unit(m, [1, 0, 0]), 2.0, step=1e-2)
+    with pytest.raises(sr.ParameterError, match="^tol must be finite and positive"):
+        sr.spherical_field(profile, tol)
+
+
 # ---------------------------------------------------------------------------
 # comparison bound
 
@@ -596,3 +621,12 @@ def test_sturm_parameter_errors():
     xp_bad = sr.Tangent(sr.Point(profile.trajectory.points[0]), profile.frame[0].components[0])
     with pytest.raises(sr.ParameterError):
         sr.verify_sturm_bound(profile, x0, 1.0, xp0=xp_bad)
+
+
+def test_sturm_rejects_a_nan_horizon():
+    # it failed later, in a min over no samples
+    m = sr.RoundSphere(3)
+    _, profile, _ = _pipeline(m, [1, 0, 0, 0], [0, 1, 0, 0], 2.0, step=1e-2)
+    x0 = sr.Tangent(sr.Point(profile.trajectory.points[0]), profile.frame[0].components[0])
+    with pytest.raises(sr.ParameterError, match="horizon"):
+        sr.verify_sturm_bound(profile, x0, math.nan)

@@ -895,6 +895,9 @@ def test_a_chunk_of_parallel_and_searched_rows_equals_the_frame_route(monkeypatc
         # an infinite step would be one RK4 step over the whole window
         *((check, {"step": step}, "step") for step in (math.inf, math.nan, 0.0, -1.0)
           for check in ("positive", "weak")),
+        # the window was run as 1.0, or rejected after a chunk's flow, or as a step
+        *(("positive", {"event_window": w}, "event_window")
+          for w in (True, -1.0, math.nan, math.inf)),
     ],
 )
 def test_rank_checks_reject_bad_chunks_and_tolerances(check, kwargs, name):
