@@ -487,8 +487,11 @@ def verify_sturm_bound(profile, x0, horizon, tol=1e-7, xp0=None):
 
     ``x0`` is the g-unit normal initial value X(0); the initial derivative
     has no radial part (<X'(0), X(0)> = 0) and its transverse part is the
-    optional ``xp0`` (default zero).  Valid for horizons up to pi/2.
+    optional ``xp0`` (default zero).  Valid for horizons up to pi/2; ``tol``
+    is finite and positive.
     """
+    if not 0 < tol < math.inf:  # NaN fails too
+        raise ParameterError(f"tol must be finite and positive, got {tol!r}")
     if not 0 < horizon <= math.pi / 2 + 1e-12:  # NaN fails too
         raise ParameterError("comparison horizon must lie in (0, pi/2]")
     times = profile.times

@@ -8,10 +8,12 @@ advance in lockstep as plain arrays: ``_flow`` integrates their states,
 and each check propagates the Jacobi fundamental solution from K itself
 (the weak check skips the frame where the Killing field gives the answer).
 The frame is freed inside ``_curvature``, the states before propagation,
-a chunk before the next.  A chunk's Richardson half-step run goes to a
-forked child beside the run at ``step`` when a second core is free
-(``_beside``).  Verdicts are deterministic functions of (model, sampler
-seed, tolerances), whatever the chunk size and either way.
+a chunk before the next.  When a second core is free, ``_beside`` runs one
+stage in a forked child, placed off its parent's CPU, beside another: a
+chunk's Richardson half-step run beside the run at ``step``, and a
+``berger_report`` row's weak-lower check beside its fiber time and
+upper-normalized checks.  Verdicts are deterministic functions of (model,
+sampler seed, tolerances), whatever the chunk size and either way.
 """
 
 from __future__ import annotations
@@ -67,6 +69,10 @@ DEFAULT_TIME_TOL = 1e-6
 DEFAULT_CURV_TOL = 1e-8
 DEFAULT_WEAK_TOL = 1e-5
 RICHARDSON_AGREEMENT = 1e-7
+# a flow row whose final |speed - 1| reaches this diverged; the max over a
+# chunk is at most 3e-11 at every default step, 4.5e-9 at step 0.02 on S^2
+# and 7.4e6 at step 2.0 there
+DIVERGED_SPEED = 1e-3
 
 POSITIVE_SPHERICAL = "positive-spherical"
 # the curvature bound (``bound`` / ``side``) each weak property normalizes to
@@ -189,15 +195,14 @@ def normalize_to_bound(model, bound):
 def _check_arguments(chunk, lengths, **tolerances):
     """``ParameterError`` naming the argument unless ``chunk`` is an integer >= 1,
     each of the ``lengths`` (name: value; the step, the event window) is None
-    (the check's default) or a finite positive number that is not a bool, and
-    every tolerance is finite and positive."""
+    (the check's default) or a finite positive number, and every tolerance is
+    a finite positive number; a bool is not a number here."""
     _check_integer(chunk, 1, "chunk")
-    for name, value in lengths.items():
-        if isinstance(value, bool):  # ``time_grid`` would see 2 * step, an int
-            raise ParameterError(f"{name} must be a number, got {value!r}")
     # an infinite step is one RK4 step over the whole window
     given = {name: value for name, value in lengths.items() if value is not None}
     for name, value in {**given, **tolerances}.items():
+        if isinstance(value, bool):  # True would run as 1 (``time_grid`` an int step)
+            raise ParameterError(f"{name} must be a number, got {value!r}")
         if not 0 < value < math.inf:  # NaN fails too
             raise ParameterError(f"{name} must be finite and positive, got {value!r}")
 
@@ -226,18 +231,35 @@ def _second_core_free():
         return False
 
 
+def _current_cpu():
+    """The CPU this process last ran on, field 39 of ``/proc/self/stat`` (read
+    after the last ")", which closes the command name), or None where that
+    cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            return int(stat.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
 def _beside(first, second):
     """``(first(), second())``, with ``second`` run in a forked child beside
     ``first`` when ``_second_core_free()``, and after it otherwise.
 
-    The child sends ``second``'s result back pickled through a pipe and ends
-    with ``os._exit``; the parent always reaps it, killing it first if
-    ``first`` raises.  A child that sends nothing (``second`` raised, it was
-    killed, or its result would not pickle) exits non-zero, and ``second``
-    then runs here after ``first``, so its error carries its own frames.
+    The kernel often leaves a forked child on its parent's CPU, so the child
+    takes the parent's CPU out of its own affinity before it runs ``second``
+    (where that CPU cannot be read or the call fails, it runs where it is);
+    the parent's affinity is never touched.  On 2 CPUs the child is then
+    left one, so it never forks again.  The child sends ``second``'s result
+    back pickled through a pipe and ends with ``os._exit``; the parent always
+    reaps it, killing it first if ``first`` raises.  A child that sends
+    nothing (``second`` raised, it was killed, or its result would not
+    pickle) exits non-zero, and ``second`` then runs here after ``first``, so
+    its error carries its own frames.
     """
     pid = None
     if _second_core_free():
+        cpu = _current_cpu()
         read_end, write_end = os.pipe()
         try:
             pid = os.fork()
@@ -250,6 +272,11 @@ def _beside(first, second):
         code = 1
         try:
             os.close(read_end)
+            if cpu is not None:
+                try:
+                    os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
+                except OSError:
+                    pass
             with os.fdopen(write_end, "wb") as pipe:
                 pipe.write(pickle.dumps(second(), pickle.HIGHEST_PROTOCOL))
             code = 0
@@ -272,9 +299,20 @@ def _beside(first, second):
 
 def _flow(model, P, W, horizon, step):
     """The grid ``time_grid(horizon, 2 * step)`` (one interval when the horizon
-    is shorter) and the geodesics' states X, V on it."""
+    is shorter) and the geodesics' states X, V on it.
+
+    The rows start at unit speed; one that ends off it by ``DIVERGED_SPEED``
+    or more (or not finite) diverged, and ``DomainError`` says so before any
+    later stage meets its arrays.  The speed error grows along the flow, so
+    only the last states are read: on S^n, CP^2 and Berger spheres, from
+    the default step to 2.0, their error was the whole grid's largest, or
+    both were above 1e2.
+    """
     times = time_grid(horizon, min(2 * step, horizon))
-    return (times, *flow_arrays(model, P, W, times))
+    X, V = flow_arrays(model, P, W, times)
+    if not np.max(np.abs(np.sqrt(model.inner(V[-1], V[-1])) - 1.0)) < DIVERGED_SPEED:
+        raise DomainError("the integration diverged; a smaller step may help")
+    return times, X, V
 
 
 def _curvature(model, times, X, V):
@@ -657,30 +695,45 @@ def berger_report(etas, sampler, *, step=None, scan_samples=10000,
     """Survey rows for a list of Berger parameters (curvature range, fiber
     closure time, and the three rank verdicts at the given tolerances); with
     ``step`` None each stage runs at its own default step on its own model:
-    ``positive_step`` for the positive check, ``model_step`` for the rest."""
+    ``positive_step`` for the positive check, ``model_step`` for the rest.
+
+    Where the lower normalization exists, the weak-lower check (the row's
+    largest stage at eta = 0.5, whose lower-normalized sec reaches 13) runs
+    in a forked child beside the fiber time and the upper-normalized checks
+    (``_beside``); only its bool comes back, and errors reach the caller in
+    the sequential order."""
     etas = list(etas)
     if not etas:
         raise ParameterError("eta list must not be empty")
+    # before any stage runs, and naming ``weak_tol`` as the caller does
+    _check_arguments(DEFAULT_CHUNK, {"step": step}, time_tol=time_tol, curv_tol=curv_tol,
+                     rank_tol=rank_tol, weak_tol=weak_tol)
     rows = []
     for eta in etas:
         model = BergerSphere(eta)
         lo, hi = curvature_bounds(model)
         scan = curvature_scan(model, scan_samples, 0)
-        fiber_time = measure_fiber_time(eta, step=step)
-        upper = normalize_to_bound(model, "upper")
-        positive = check_positive_spherical_rank(
-            upper, sampler, time_tol, curv_tol, step=step, rank_tol=rank_tol
-        )
-        weak_up = check_weak_spherical_rank(upper, "upper", sampler, weak_tol, step=step)
-        notes = []
-        if lo <= 0:
-            notes.append("not positively curved; lower bound <= 0, lower normalization impossible")
-            weak_low = None
-            lower_ok = False
-        else:
+
+        def upper_stages():
+            fiber_time = measure_fiber_time(eta, step=step)
+            upper = normalize_to_bound(model, "upper")
+            positive = check_positive_spherical_rank(
+                upper, sampler, time_tol, curv_tol, step=step, rank_tol=rank_tol
+            )
+            weak_up = check_weak_spherical_rank(upper, "upper", sampler, weak_tol, step=step)
+            return fiber_time, positive.holds, weak_up.holds
+
+        def lower_stage():
             lower = normalize_to_bound(model, "lower")
-            weak_low = check_weak_spherical_rank(lower, "lower", sampler, weak_tol, step=step).holds
-            lower_ok = True
+            return check_weak_spherical_rank(lower, "lower", sampler, weak_tol, step=step).holds
+
+        lower_ok = bool(lo > 0)
+        if lower_ok:
+            (fiber_time, positive, weak_up), weak_low = _beside(upper_stages, lower_stage)
+            note = ""
+        else:
+            (fiber_time, positive, weak_up), weak_low = upper_stages(), None
+            note = "not positively curved; lower bound <= 0, lower normalization impossible"
         rows.append(
             BergerReportRow(
                 eta=float(eta),
@@ -689,12 +742,12 @@ def berger_report(etas, sampler, *, step=None, scan_samples=10000,
                 sec_min_scanned=scan.minimum,
                 sec_max_scanned=scan.maximum,
                 fiber_time=fiber_time,
-                positively_curved=bool(lo > 0),
-                positive_spherical_rank=bool(positive.holds),
-                weak_upper=bool(weak_up.holds),
+                positively_curved=lower_ok,
+                positive_spherical_rank=positive,
+                weak_upper=weak_up,
                 weak_lower=weak_low,
                 lower_normalizable=lower_ok,
-                note="; ".join(notes),
+                note=note,
             )
         )
     return rows

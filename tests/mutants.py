@@ -119,6 +119,12 @@ MUTANTS = {
         '"transport_project",',
         "a scaled model keeps its base's canonical_point",
     ),
+    "M17": Mutant(
+        RANK,
+        "(fiber_time, positive, weak_up), weak_low = _beside(upper_stages, lower_stage)",
+        "(fiber_time, positive, weak_low), weak_up = _beside(upper_stages, lower_stage)",
+        "a report row's forked weak-lower verdict is its weak_lower",
+    ),
 }
 
 

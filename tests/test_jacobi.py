@@ -630,3 +630,14 @@ def test_sturm_rejects_a_nan_horizon():
     x0 = sr.Tangent(sr.Point(profile.trajectory.points[0]), profile.frame[0].components[0])
     with pytest.raises(sr.ParameterError, match="horizon"):
         sr.verify_sturm_bound(profile, x0, math.nan)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_sturm_rejects_a_tol_that_is_not_finite_and_positive(tol):
+    # a NaN or negative tol answered holds=False, as if the bound had failed
+    m = sr.RoundSphere(3)
+    _, profile, _ = _pipeline(m, [1, 0, 0, 0], [0, 1, 0, 0], 2.0, step=1e-2)
+    x0 = sr.Tangent(sr.Point(profile.trajectory.points[0]), profile.frame[0].components[0])
+    assert sr.verify_sturm_bound(profile, x0, 1.0, tol=1e-7).holds
+    with pytest.raises(sr.ParameterError, match="^tol must be finite and positive"):
+        sr.verify_sturm_bound(profile, x0, 1.0, tol=tol)

@@ -605,6 +605,99 @@ def test_a_single_threaded_process_forks_the_half_run(monkeypatch):
     assert digest == repr(_verdict_digest(in_process))
 
 
+def _report_rows(**kwargs):
+    rows = sr.berger_report((0.5, 1.2), sr.GeodesicSampler(4, 3), scan_samples=256, **kwargs)
+    return [repr(row.as_dict()) for row in rows]
+
+
+def test_berger_report_rows_are_bitwise_the_same_forked_or_not(monkeypatch):
+    # eta 1.2 has no lower normalization, so only eta 0.5 forks its weak-lower check
+    forks = _counted_forks(monkeypatch)
+    digests = []
+    for forked in (False, True):
+        monkeypatch.setattr(rank_mod, "_second_core_free", lambda: forked)
+        digests.append(_report_rows())
+    assert len(forks) == 1
+    assert digests[0] == digests[1]
+    _no_child_left()
+    # and each verdict is that of its check run on its own
+    sampler = sr.GeodesicSampler(4, 3)
+    row = sr.berger_report([0.5], sampler, scan_samples=256)[0]
+    for side, holds in (("upper", row.weak_upper), ("lower", row.weak_lower)):
+        model = sr.normalize_to_bound(sr.BergerSphere(0.5), side)
+        assert sr.check_weak_spherical_rank(model, side, sampler).holds == holds
+    assert row.weak_upper != row.weak_lower  # so a swap of the two shows
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["in-process", "forked"])
+@pytest.mark.parametrize("upper_raises", [False, True], ids=["lower-raises", "both-raise"])
+def test_the_first_error_of_a_report_row_reaches_the_caller(monkeypatch, forked, upper_raises):
+    real = rank_mod.check_weak_spherical_rank
+
+    def weak(model, side, *args, **kwargs):
+        if side == "lower" or upper_raises:
+            raise sr.DomainError(f"weak-{side}")
+        return real(model, side, *args, **kwargs)
+
+    monkeypatch.setattr(rank_mod, "check_weak_spherical_rank", weak)
+    monkeypatch.setattr(rank_mod, "_second_core_free", lambda: forked)
+    expected = "weak-upper" if upper_raises else "weak-lower"
+    with pytest.raises(sr.DomainError, match=f"^{expected}$"):
+        _report_rows()
+    _no_child_left()
+
+
+@pytest.mark.parametrize("placement", ["read", "unreadable", "refused"])
+def test_the_forked_child_leaves_its_parents_cpu(monkeypatch, placement):
+    parent = os.sched_getaffinity(0)
+    if len(parent) < 2:
+        pytest.skip("the child is moved only where 2 CPUs are free")
+    assert rank_mod._current_cpu() in parent
+    if placement == "unreadable":
+        monkeypatch.setattr(rank_mod, "_current_cpu", lambda: None)
+    elif placement == "refused":
+        def refuse(pid, cpus):
+            raise PermissionError("refused")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    monkeypatch.setattr(rank_mod, "_second_core_free", lambda: True)
+    forks = _counted_forks(monkeypatch)
+    ours, child = rank_mod._beside(lambda: os.sched_getaffinity(0),
+                                   lambda: os.sched_getaffinity(0))
+    assert len(forks) == 1
+    assert ours == parent and os.sched_getaffinity(0) == parent
+    if placement == "read":
+        assert child < parent and len(child) == len(parent) - 1
+    else:  # the child runs where it is
+        assert child == parent
+    _no_child_left()
+
+
+@pytest.mark.parametrize("name", ["time_tol", "curv_tol", "rank_tol", "tol", "weak_tol"])
+def test_a_bool_tolerance_is_rejected(name):
+    # True ran as a tolerance of 1: "conjugate at pi within 1"
+    sampler = sr.GeodesicSampler(2, 3)
+    with pytest.raises(sr.ParameterError, match=f"^{name} must be a number, got True$"):
+        if name == "tol":
+            sr.check_weak_spherical_rank(sr.RoundSphere(2), "upper", sampler, tol=True)
+        elif name == "weak_tol":
+            sr.berger_report([1.2], sampler, scan_samples=64, weak_tol=True)
+        else:
+            sr.check_positive_spherical_rank(sr.RoundSphere(2), sampler, **{name: True})
+
+
+@pytest.mark.parametrize("check", ["positive", "weak"])
+def test_a_flow_that_diverges_at_a_large_step_raises_domain_error(check):
+    # at step 2.0 on S^2 the speed reached 7e6: the positive check died asking
+    # for 1.6 PiB of Theta nodes, the weak one in SciPy's eigh
+    sampler = sr.GeodesicSampler(2, 1)
+    with pytest.raises(sr.DomainError, match="diverged"), np.errstate(all="ignore"):
+        if check == "positive":
+            sr.check_positive_spherical_rank(sr.RoundSphere(2), sampler, step=2.0)
+        else:
+            sr.check_weak_spherical_rank(sr.RoundSphere(2), "upper", sampler, step=2.0)
+
+
 # ---------------------------------------------------------------------------
 # one scheme for a geodesic alone and in a bundle
 
