@@ -187,10 +187,11 @@ class ManifoldModel:
         """What ``transport_rhs`` reads of the geodesic samples ``X``, ``V``,
         computed once for the whole grid rather than at every RK4 stage.
 
-        Returns arrays with the sample axes of ``X`` followed by a length-1
-        axis that broadcasts over the transported vectors; the first is the
-        point.  One sample's rows ``c`` give the derivative ``transport_rhs(w, *c)``.
-        The default is the state itself, (X[..., None, :], V[..., None, :]).
+        Returns arrays with the sample axes of ``X`` followed by axes that
+        broadcast over the transported vectors (a length-1 axis, or a matrix
+        they multiply); the first is the point.  One sample's rows ``c`` give
+        the derivative ``transport_rhs(w, *c)``.  The default is the state
+        itself, (X[..., None, :], V[..., None, :]).
         """
         return X[..., None, :], V[..., None, :]
 
@@ -351,9 +352,16 @@ class BergerSphere(ManifoldModel):
         c, R = self._euler_factors
         return (x[..., None, :] @ M)[..., 0, :], (c * v[..., :1]) * (v @ R)
 
-    def transport_rhs(self, w, x, v):
-        """w @ L(v): the derivative is bilinear in (v, w), and ``v`` has one row."""
-        return w @ (v @ self._transport_tensor).reshape(v.shape[:-2] + (3, 3))
+    def transport_coeffs(self, X, V):
+        """The point and the matrix L(v) of ``transport_rhs`` at every sample,
+        from one product over the whole grid: built in each RK4 stage, as a
+        stacked (1, 3) @ (3, 9), it made one BLAS call per row."""
+        L = (V @ self._transport_tensor).reshape(V.shape[:-1] + (3, 3))
+        return X[..., None, :], L
+
+    def transport_rhs(self, w, x, L):
+        """w @ L(v): the derivative is bilinear in (v, w)."""
+        return w @ L
 
     def special_directions(self):
         """The Hopf fiber ``i`` and the horizontal ``j`` at the identity."""

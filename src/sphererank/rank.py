@@ -9,11 +9,21 @@ and each check propagates the Jacobi fundamental solution from K itself
 (the weak check skips the frame where the Killing field gives the answer).
 The frame is freed inside ``_curvature``, the states before propagation,
 a chunk before the next.  When a second core is free, ``_beside`` runs one
-stage in a forked child, placed off its parent's CPU, beside another: a
-chunk's Richardson half-step run beside the run at ``step``, and a
-``berger_report`` row's weak-lower check beside its fiber time and
-upper-normalized checks.  Verdicts are deterministic functions of (model,
-sampler seed, tolerances), whatever the chunk size and either way.
+stage in a forked child, placed off its parent's CPU, beside another:
+
+* a chunk's Richardson half-step run beside the run at ``step``;
+* the second row half of a chunk without a Richardson pair beside the first
+  (``_by_chunk``);
+* a ``berger_report`` row's weak-lower check beside its fiber time and
+  upper-normalized checks.
+
+No process forks while a child of ``_beside`` runs, and a child forks none
+of its own, so at most two processes share the CPUs.  A Richardson chunk
+keeps its step / half-step pair rather than splitting its rows: two busy
+processes slow each other down on a shared 2-core machine, where the row
+split was the slower of the two on ``sphere-bundle`` (README, "The second
+core").  Verdicts are deterministic functions of (model, sampler seed,
+tolerances), whatever the chunk size and either way.
 """
 
 from __future__ import annotations
@@ -207,13 +217,27 @@ def _check_arguments(chunk, lengths, **tolerances):
             raise ParameterError(f"{name} must be finite and positive, got {value!r}")
 
 
-def _by_chunk(n, size, analyze):
-    """The results of ``analyze(a, b)`` over the chunks [a, b) of range(n), concatenated.
+def _by_chunk(n, size, analyze, split=True):
+    """The per-row results of ``analyze(a, b)`` over the chunks [a, b) of
+    range(n), concatenated.
 
     Each chunk is analyzed in a call of its own, so its arrays are freed
-    before the next chunk is built.
+    before the next chunk is built.  With ``split``, a chunk of 2 rows or
+    more is analyzed as two row halves, the second in a forked child beside
+    the first (``_beside``), when ``_may_fork()``; rows are independent, so
+    the halves give the rows of the whole chunk bit for bit.  Otherwise the
+    chunk runs whole: two halves in one process would each pay the per-stage
+    overhead that dominates a small chunk.
     """
-    return [r for a in range(0, n, size) for r in analyze(a, min(n, a + size))]
+
+    def rows(a, b):
+        if split and b - a >= 2 and _may_fork():
+            m = (a + b) // 2
+            left, right = _beside(lambda: analyze(a, m), lambda: analyze(m, b))
+            return left + right
+        return analyze(a, b)
+
+    return [r for a in range(0, n, size) for r in rows(a, min(n, a + size))]
 
 
 def _second_core_free():
@@ -231,6 +255,18 @@ def _second_core_free():
         return False
 
 
+# True while a child of ``_beside`` runs, in the parent and (inherited) in the
+# child: neither forks again, so a stage run beside a child never puts a third
+# process on the CPUs the two share
+_child_running = False
+
+
+def _may_fork():
+    """Whether ``_beside`` would fork now: no child of it is running and
+    ``_second_core_free()``."""
+    return not _child_running and _second_core_free()
+
+
 def _current_cpu():
     """The CPU this process last ran on, field 39 of ``/proc/self/stat`` (read
     after the last ")", which closes the command name), or None where that
@@ -244,26 +280,29 @@ def _current_cpu():
 
 def _beside(first, second):
     """``(first(), second())``, with ``second`` run in a forked child beside
-    ``first`` when ``_second_core_free()``, and after it otherwise.
+    ``first`` when ``_may_fork()``, and after it otherwise.
 
     The kernel often leaves a forked child on its parent's CPU, so the child
     takes the parent's CPU out of its own affinity before it runs ``second``
     (where that CPU cannot be read or the call fails, it runs where it is);
-    the parent's affinity is never touched.  On 2 CPUs the child is then
-    left one, so it never forks again.  The child sends ``second``'s result
-    back pickled through a pipe and ends with ``os._exit``; the parent always
-    reaps it, killing it first if ``first`` raises.  A child that sends
-    nothing (``second`` raised, it was killed, or its result would not
-    pickle) exits non-zero, and ``second`` then runs here after ``first``, so
-    its error carries its own frames.
+    the parent's affinity is never touched.  Neither forks again until the
+    parent has reaped the child (``_child_running``).  The child sends
+    ``second``'s result back pickled through a pipe and ends with
+    ``os._exit``; the parent always reaps it, killing it first if ``first``
+    raises.  A child that sends nothing (``second`` raised, it was killed, or
+    its result would not pickle) exits non-zero, and ``second`` then runs
+    here after ``first``, so its error carries its own frames.
     """
+    global _child_running
     pid = None
-    if _second_core_free():
+    if _may_fork():
         cpu = _current_cpu()
         read_end, write_end = os.pipe()
+        _child_running = True
         try:
             pid = os.fork()
         except OSError:
+            _child_running = False
             os.close(read_end)
             os.close(write_end)
     if pid is None:
@@ -292,6 +331,7 @@ def _beside(first, second):
         raise
     finally:
         status = os.waitpid(pid, 0)[1]
+        _child_running = False
     if os.waitstatus_to_exitcode(status) != 0:
         return result, second()
     return result, pickle.loads(sent)
@@ -376,11 +416,10 @@ def check_positive_spherical_rank(
     horizon = max(math.pi, window_end) + 0.05
 
     P, W = sampler.states(model)
-    sec_maxima = []
 
     def chunk_evidence(a, b):
         """The chunk's rows at ``step`` and, with Richardson, at ``step / 2``
-        beside them (``_beside``)."""
+        beside them (``_beside``): (evidence, the row's sampled sec maximum)."""
 
         def curvature(step_):
             times, X, V = _flow(model, P[a:b], W[a:b], horizon, step_)
@@ -394,20 +433,20 @@ def check_positive_spherical_rank(
             return detect_events(prop, (0.0, window_end), rank_tol=rank_tol)
 
         def primary():
-            """The events at ``step``, with the certificates and the sampled
-            curvature read from its K; K is freed on return."""
+            """The events at ``step``, with the certificates and each row's
+            sampled curvature maximum read from its K; K is freed on return."""
             times, K = curvature(step)
             _, cert_dev, cert_resid = spherical_witness(K)
-            sec_maxima.append(np.max(np.linalg.eigvalsh(K)))
-            return conjugate_events(times, K), cert_dev, cert_resid
+            sec_max = np.max(np.linalg.eigvalsh(K), axis=(0, 2))
+            return conjugate_events(times, K), cert_dev, cert_resid, sec_max
 
         if richardson:
-            (found, cert_dev, cert_resid), halved = _beside(
+            (found, cert_dev, cert_resid, sec_max), halved = _beside(
                 primary, lambda: conjugate_events(*curvature(step / 2.0))
             )
         else:
-            found, cert_dev, cert_resid = primary()
-        evidence = []
+            found, cert_dev, cert_resid, sec_max = primary()
+        rows = []
         for i, events in enumerate(found):
             at_pi = any(abs(e.time - math.pi) <= time_tol for e in events)
             ok = at_pi and not any(e.time < math.pi - time_tol for e in events)
@@ -417,24 +456,25 @@ def check_positive_spherical_rank(
                 gap = max(diffs, default=0.0) if len(events) == len(halved[i]) else math.inf
                 ok = ok and gap <= RICHARDSON_AGREEMENT
             cert = bool(cert_resid[i] <= DEFAULT_CERT_TOL)
-            evidence.append(
-                RankEvidence(
-                    index=a + i,
-                    point=P[a + i],
-                    velocity=W[a + i],
-                    events=events,
-                    passes=ok,
-                    has_certificate=cert,
-                    certificate_deviation=float(cert_dev[i]) if cert else None,
-                    richardson_gap=gap,
-                )
+            evidence = RankEvidence(
+                index=a + i,
+                point=P[a + i],
+                velocity=W[a + i],
+                events=events,
+                passes=ok,
+                has_certificate=cert,
+                certificate_deviation=float(cert_dev[i]) if cert else None,
+                richardson_gap=gap,
             )
-        return evidence
+            rows.append((evidence, float(sec_max[i])))
+        return rows
 
-    evidence = _by_chunk(len(P), chunk, chunk_evidence)
-    sampled_sec_max = float(max(sec_maxima))
+    # a Richardson chunk already runs its two steps beside each other
+    rows = _by_chunk(len(P), chunk, chunk_evidence, split=not richardson)
+    sampled_sec_max = max(sec for _, sec in rows)
     if sampled_sec_max > 1.0 + curv_tol:
         return unmet("sampled curvature", sampled_sec_max)
+    evidence = [e for e, _ in rows]
 
     holds = all(e.passes for e in evidence)
     if holds:

@@ -125,6 +125,18 @@ MUTANTS = {
         "(fiber_time, positive, weak_low), weak_up = _beside(upper_stages, lower_stage)",
         "a report row's forked weak-lower verdict is its weak_lower",
     ),
+    "M18": Mutant(
+        RANK,
+        "return left + right",
+        "return right + left",
+        "a split chunk's row halves join in row order",
+    ),
+    "M19": Mutant(
+        RANK,
+        "return left + right",
+        "return left + [(r[0], -math.inf) if isinstance(r, tuple) else r for r in right]",
+        "the sampled curvature of the positive check counts the child's row half",
+    ),
 }
 
 

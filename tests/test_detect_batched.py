@@ -81,6 +81,8 @@ def test_the_positive_check_detects_once_per_chunk(monkeypatch, chunk):
     # see every chunk, each as one batched propagator
     count, calls = 5, []
     detect = rank_mod.detect_events
+    # a forked row half would detect out of this process's sight
+    monkeypatch.setattr(rank_mod, "_second_core_free", lambda: False)
 
     def counted(prop, window, **kwargs):
         assert prop.M.ndim == 4

@@ -138,10 +138,10 @@ def test_berger_rhs_equal_np_cross_formulas():
 
     scaled = sr.Scaled(sr.BergerSphere(0.5), 1.7)
     g = scaled.base.metric_weights
-    x, v = _unit_quaternions(rng, (64, 1)), rng.normal(size=(64, 1, 3))
-    w = rng.normal(size=(64, 2, 3))
-    want = -np.cross(v, w) + (np.cross(g * w, v) + np.cross(g * v, w)) / g
-    assert _close_to(scaled.transport_rhs(w, x, v), want)
+    x, v = _unit_quaternions(rng, (64,)), rng.normal(size=(64, 3))
+    w, vr = rng.normal(size=(64, 2, 3)), v[:, None]
+    want = -np.cross(vr, w) + (np.cross(g * w, vr) + np.cross(g * vr, w)) / g
+    assert _close_to(scaled.transport_rhs(w, *scaled.transport_coeffs(x, v)), want)
 
 
 @pytest.mark.parametrize("shape", [(64,), ()])

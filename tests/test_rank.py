@@ -448,6 +448,10 @@ def _verdict_digest(verdict):
                 [(ev.time, ev.multiplicity) for ev in e.events],
                 e.certificate_deviation,
                 e.richardson_gap,
+                e.weak_deviation,
+                e.excluded_samples,
+                e.point.tolist(),
+                e.velocity.tolist(),
             )
             for e in verdict.evidence
         ],
@@ -611,13 +615,15 @@ def _report_rows(**kwargs):
 
 
 def test_berger_report_rows_are_bitwise_the_same_forked_or_not(monkeypatch):
-    # eta 1.2 has no lower normalization, so only eta 0.5 forks its weak-lower check
+    # eta 0.5 forks its weak-lower check, and its upper stages, beside that child,
+    # fork nothing; eta 1.2 has no lower normalization, so its positive and
+    # weak-upper checks each split their one chunk
     forks = _counted_forks(monkeypatch)
     digests = []
     for forked in (False, True):
         monkeypatch.setattr(rank_mod, "_second_core_free", lambda: forked)
         digests.append(_report_rows())
-    assert len(forks) == 1
+    assert len(forks) == 3
     assert digests[0] == digests[1]
     _no_child_left()
     # and each verdict is that of its check run on its own
@@ -670,6 +676,81 @@ def test_the_forked_child_leaves_its_parents_cpu(monkeypatch, placement):
         assert child < parent and len(child) == len(parent) - 1
     else:  # the child runs where it is
         assert child == parent
+    _no_child_left()
+
+
+# ---------------------------------------------------------------------------
+# the row halves of a chunk without a Richardson pair beside each other
+
+
+split_models = pytest.mark.parametrize(
+    "model",
+    [sr.RoundSphere(4), sr.normalize_to_bound(sr.ComplexProjective(2), "upper"),
+     sr.normalize_to_bound(sr.BergerSphere(1.2), "upper")],
+    ids=["round4", "cp2-upper", "berger1.2-upper"],
+)
+
+
+@split_models
+@pytest.mark.parametrize("check", ["positive", "weak-auto", "weak-witness", "weak-search"])
+def test_the_forked_row_split_is_bitwise_the_in_process_run(monkeypatch, model, check):
+    # 7 rows in chunks of 3: the chunks of 3 rows split 1 + 2, the last row runs whole
+    sampler = sr.GeodesicSampler(7, 20240809)
+    forks = _counted_forks(monkeypatch)
+    digests = []
+    for forked in (False, True):
+        monkeypatch.setattr(rank_mod, "_second_core_free", lambda: forked)
+        if check == "positive":
+            verdict = sr.check_positive_spherical_rank(model, sampler, chunk=3)
+        else:
+            verdict = sr.check_weak_spherical_rank(model, "upper", sampler,
+                                                   method=check[len("weak-"):], chunk=3)
+        digests.append(_verdict_digest(verdict))
+        _no_child_left()
+    assert len(forks) == 2  # one child per chunk of 2 rows or more, on the forked pass only
+    assert digests[0] == digests[1]
+    assert [e.index for e in verdict.evidence] == list(range(7))
+
+
+def test_a_richardson_chunk_forks_its_half_run_not_a_row_half(monkeypatch):
+    # the parent runs every row of each chunk at the step; the child the half step
+    model, step = sr.RoundSphere(4), 4e-3
+    flows = []
+    real = rank_mod._flow
+
+    def flow(model, P, W, horizon, step_):
+        flows.append((len(P), step_))
+        return real(model, P, W, horizon, step_)
+
+    monkeypatch.setattr(rank_mod, "_flow", flow)
+    monkeypatch.setattr(rank_mod, "_second_core_free", lambda: True)
+    forks = _counted_forks(monkeypatch)
+    verdict = sr.check_positive_spherical_rank(model, sr.GeodesicSampler(5, 20240809),
+                                               step=step, richardson=True, chunk=3)
+    assert verdict.holds
+    assert len(forks) == 2 and flows == [(3, step), (2, step)]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["in-process", "forked"])
+def test_a_sampled_curvature_above_one_in_the_childs_half_fails(monkeypatch, forked):
+    # K raised by 10 curv_tol on the last of 4 rows, which the second row half holds
+    model, sampler = sr.RoundSphere(3), sr.GeodesicSampler(4, 3)
+    last = sampler.states(model)[1][-1]
+    real = rank_mod._curvature
+
+    def curvature(model, times, X, V):
+        K, defect = real(model, times, X, V)
+        K[:, np.all(V[0] == last, axis=-1)] += 10 * rank_mod.DEFAULT_CURV_TOL * np.eye(2)
+        return K, defect
+
+    monkeypatch.setattr(rank_mod, "_curvature", curvature)
+    monkeypatch.setattr(rank_mod, "_second_core_free", lambda: forked)
+    forks = _counted_forks(monkeypatch)
+    verdict = sr.check_positive_spherical_rank(model, sampler)
+    assert len(forks) == forked
+    assert verdict.status == "precondition-failed" and verdict.evidence == []
+    assert verdict.detail.startswith("sampled curvature 1.0000001 exceeds")
     _no_child_left()
 
 
@@ -795,6 +876,8 @@ def _witness_rows(monkeypatch):
 
 @pytest.mark.parametrize("method", ["search", "witness", "auto"])
 def test_witness_is_read_once_per_chunk_with_open_rows(monkeypatch, method):
+    # a forked row half would read its witness out of this process's sight
+    monkeypatch.setattr(rank_mod, "_second_core_free", lambda: False)
     calls = _witness_rows(monkeypatch)
     sampler = sr.GeodesicSampler(6, 3)
     # upper Berger(1.2): the Killing field leaves only the fiber row, in the first chunk, open
@@ -859,6 +942,7 @@ def _rows_per_call(monkeypatch, name):
 def test_weak_check_builds_midpoints_and_solves_only_for_searched_rows(
     monkeypatch, model, method, rows
 ):
+    monkeypatch.setattr(rank_mod, "_second_core_free", lambda: False)  # whole chunks
     mids = _rows_per_call(monkeypatch, "interval_midpoints")
     solves = _rows_per_call(monkeypatch, "solve_jacobi_arrays")
     sr.check_weak_spherical_rank(model, "upper", sr.GeodesicSampler(6, 3), method=method, chunk=4)
@@ -963,6 +1047,7 @@ def test_a_chunk_of_parallel_and_searched_rows_equals_the_frame_route(monkeypatc
         return c, deviation, resid
 
     monkeypatch.setattr(rank_mod, "spherical_witness", witness)
+    monkeypatch.setattr(rank_mod, "_second_core_free", lambda: False)  # one whole chunk
     solves = _rows_per_call(monkeypatch, "solve_jacobi_arrays")
     verdict = sr.check_weak_spherical_rank(model, "upper", sampler, method="auto", chunk=6)
     assert [e.weak_deviation for e in verdict.evidence] == expected
@@ -1037,6 +1122,8 @@ def test_near_round_berger_fails_on_both_sides(time_tol, sign):
 
 def test_an_event_before_pi_fails_its_geodesic(monkeypatch):
     # an extra event 50 time_tol before pi, injected into the first geodesic's events
+    # of the one whole chunk (each row half would get one)
+    monkeypatch.setattr(rank_mod, "_second_core_free", lambda: False)
     time_tol, real = rank_mod.DEFAULT_TIME_TOL, rank_mod.detect_events
 
     def detect(prop, window, rank_tol):
