@@ -27,7 +27,6 @@ from functools import cache, cached_property
 
 import numpy as np
 import scipy
-from scipy.special import ndtri
 
 from .errors import DegeneratePlaneError, DomainError, ParameterError
 
@@ -681,9 +680,77 @@ def sobol_uniforms(dim, count, seed):
     return np.clip(x * 2.0**-SOBOL_BITS, 1e-12, 1.0 - 1e-12)
 
 
+# Cephes' ndtri: the rational approximations of the inverse normal
+# distribution, in x - 1/2 on the middle branch and in 1/x, x = sqrt(-2 log y),
+# on the tails (P1/Q1 for y above exp(-32), P2/Q2 below)
+_NDTRI_S2PI = 2.50662827463100050242e0
+_NDTRI_EXP_M2 = 0.13533528323661269189
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _horner(x, coefficients, ans):
+    """Cephes' ``polevl`` (``ans`` the leading coefficient) and ``p1evl``
+    (``ans`` = x + the first coefficient), in their order of operations."""
+    for c in coefficients:
+        ans = ans * x + c
+    return ans
+
+
+def _log(x):
+    """``math.log`` (the C library's) elementwise: NumPy's SIMD ``log`` differs
+    from it in the last bit on a few inputs in 10^5, and ndtri's bits follow it."""
+    return np.fromiter(map(math.log, x.tolist()), float, len(x))
+
+
 def gaussians_from_uniforms(u):
-    """Standard normal quantiles of ``u`` (the values of ``scipy.stats.norm.ppf``)."""
-    return ndtri(u)
+    """Standard normal quantiles of ``u`` in (0, 1), bit for bit the values of
+    ``scipy.special.ndtri`` (and so of ``scipy.stats.norm.ppf``).
+
+    This is Cephes' ``ndtri`` in NumPy, which keeps ``scipy.special`` out of
+    the process.  ``u`` above 1 - exp(-2) is reflected to y = 1 - u; on the
+    middle branch, y in (exp(-2), 1 - exp(-2)], the quantile is y - 1/2 times
+    a rational function of (y - 1/2)^2, and on the tails it is +-(x0 - x1)
+    with x = sqrt(-2 log y), x0 = x - log(x) / x and x1 a rational function
+    of 1/x.
+    """
+    u = np.asarray(u, dtype=float)
+    y = u.ravel()
+    flip = y > 1.0 - _NDTRI_EXP_M2
+    y = np.where(flip, 1.0 - y, y)
+    out = np.empty_like(y)
+    mid = y > _NDTRI_EXP_M2
+    m = y[mid] - 0.5
+    m2 = m * m
+    P = _horner(m2, _NDTRI_P0[1:], _NDTRI_P0[0])
+    Q = _horner(m2, _NDTRI_Q0[1:], m2 + _NDTRI_Q0[0])
+    out[mid] = (m + m * (m2 * P / Q)) * _NDTRI_S2PI
+    tail = ~mid
+    x = np.sqrt(-2.0 * _log(y[tail]))
+    x0 = x - _log(x) / x
+    z = 1.0 / x
+    x1 = np.empty_like(x)
+    for rows, Pc, Qc in ((x < 8.0, _NDTRI_P1, _NDTRI_Q1), (x >= 8.0, _NDTRI_P2, _NDTRI_Q2)):
+        if rows.any():  # the x >= 8 tail, y below exp(-32), is mostly empty
+            zr = z[rows]
+            x1[rows] = zr * _horner(zr, Pc[1:], Pc[0]) / _horner(zr, Qc[1:], zr + Qc[0])
+    out[tail] = np.where(flip[tail], x0 - x1, x1 - x0)
+    return out.reshape(u.shape)
 
 
 def points_from_uniforms(model, u):

@@ -10,9 +10,9 @@ exactly (``JacobiPropagator.morse_count``); ``detect_events`` bisects on that
 count down to one grid cell, where the conjugate times are the real roots of
 det M for the cubic Hermite interpolant of (M, M').  A propagator may hold a
 whole bundle of geodesics on one time grid, and detection then runs on the
-bundle at once: the bisection rounds, the Theta nodes of the count and the
-confirming SVDs are each one stacked computation for every geodesic.  A
-single propagator is a batch of one.
+bundle at once: the bisection rounds, the Theta nodes of the count, the
+root solve and the confirming SVDs are each one stacked computation for
+every geodesic.  A single propagator is a batch of one.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .errors import AmbiguousEndpointError, DomainError, ParameterError
 from .geodesics import PROFILE_BLOCK, ParallelField, Trajectory, _hermite, _locate, _rk4
@@ -280,31 +279,47 @@ class ConjugateEvent:
             raise ParameterError("conjugate events need time > 0 and multiplicity >= 1")
 
 
-def _singular_times(times, M, Mp, a, b):
-    """Zeros of det M in ``(a, b]`` for the interpolant of ``evaluate``, sorted.
+def _singular_times(times, M, Mp, cell, a, b):
+    """Zeros of det M on grid cells, for the interpolant of ``evaluate``.
 
-    ``M`` and ``Mp`` are one geodesic's samples on ``times``.  On the grid
-    cell [t_i, t_i + h] the cubic Hermite interpolant is
-    M(t_i + s h) = C0 + C1 s + C2 s^2 + C3 s^3, and det M(t_i + s h) = 0
-    exactly at the eigenvalues s of the companion pencil
-    [[0, I, 0], [0, 0, I], [-C0, -C1, -C2]] - s diag(I, I, C3); an m-fold
-    zero of M is an m-fold eigenvalue.  The finite ones that are real to
-    ``EVENT_TIME_RESOLUTION`` in time count.
+    ``M`` and ``Mp`` are samples on ``times``, (T, k, k) or (T, B, k, k);
+    ``cell`` holds index arrays of shape (c,), the cells' left nodes i and,
+    on a bundle, their geodesics; a zero of cell j counts when its time
+    lies in ``(a[j], b[j]]``.  On the cell [t_i, t_i + h] the cubic Hermite
+    interpolant is M(t_i + s h) = C0 + C1 s + C2 s^2 + C3 s^3 =: P(s).
+    Re-expanded about a shift sigma outside the cell, P(sigma + 1/mu) mu^3
+    = P(sigma) mu^3 + P'(sigma) mu^2 + P''(sigma)/2 mu + C3, so det M = 0
+    at s = sigma + 1/mu exactly for the eigenvalues mu of the monic block
+    companion matrix of P(sigma)^-1 [C3, P''(sigma)/2, P'(sigma)]; an
+    m-fold zero of M is an m-fold eigenvalue, and where C3 is singular the
+    cubic drops degree at mu = 0.  Of sigma = -1 and 2 the cell takes the
+    one whose P(sigma) is better conditioned.  All cells are solved with
+    one stacked ``solve`` and one stacked ``eigvals``; the zeros real to
+    ``EVENT_TIME_RESOLUTION`` in time count.  Returns their times, shape
+    (c, 3k), each row sorted and padded with NaN.
     """
+    i, g = cell[0], tuple(cell[1:])
     k = M.shape[-1]
-    roots = []
-    for i in range(max(np.searchsorted(times, a, side="right") - 1, 0), np.searchsorted(times, b)):
-        h = times[i + 1] - times[i]
-        M0, M1 = M[i], M[i + 1]
-        D0, D1 = h * Mp[i], h * Mp[i + 1]
-        A, B = np.eye(3 * k, k=k), np.eye(3 * k)
-        A[2 * k :] = -np.hstack([M0, D0, 3.0 * (M1 - M0) - 2.0 * D0 - D1])
-        B[2 * k :, 2 * k :] = 2.0 * (M0 - M1) + D0 + D1
-        s = linalg.eigvals(A, B)
-        s = s[np.isfinite(s) & (h * np.abs(s.imag) <= EVENT_TIME_RESOLUTION)]
-        t = times[i] + h * s.real
-        roots.extend(t[(t > a) & (t <= b)])
-    return np.sort(roots)
+    h = (times[i + 1] - times[i])[:, None, None]
+    M0, M1 = M[(i,) + g], M[(i + 1,) + g]
+    D0, D1 = h * Mp[(i,) + g], h * Mp[(i + 1,) + g]
+    C1, C2, C3 = D0, 3.0 * (M1 - M0) - 2.0 * D0 - D1, 2.0 * (M0 - M1) + D0 + D1
+    shifts = np.array([-1.0, 2.0])[:, None, None, None]
+    P = M0 + shifts * (C1 + shifts * (C2 + shifts * C3))
+    sv = np.linalg.svd(P, compute_uv=False)
+    pick = np.argmax(sv[..., -1] / sv[..., 0], axis=0)
+    sigma = shifts[pick, :, :, 0]
+    companion = np.zeros((len(i), 3 * k, 3 * k))
+    companion[:, : 2 * k, k:] = np.eye(2 * k)
+    rhs = [C3, C2 + 3.0 * sigma * C3, C1 + 2.0 * sigma * C2 + 3.0 * sigma**2 * C3]
+    companion[:, 2 * k :] = -np.linalg.solve(P[pick, np.arange(len(i))], np.concatenate(rhs, axis=-1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = sigma[:, 0] + 1.0 / np.linalg.eigvals(companion)  # mu = 0: s infinite
+    h = h[:, 0]
+    t = times[i][:, None] + h * s.real
+    real = np.isfinite(s) & (h * np.abs(s.imag) <= EVENT_TIME_RESOLUTION)
+    inside = real & (t > np.reshape(a, (-1, 1))) & (t <= np.reshape(b, (-1, 1)))
+    return np.sort(np.where(inside, t, np.nan), axis=-1)
 
 
 def _brackets(times, count, n, t0, t1):
@@ -353,7 +368,8 @@ def detect_events(propagator, window, rank_tol=DEFAULT_RANK_TOL):
     differ and a grid node lies strictly inside; brackets sharing an end are
     one bracket.  The bisection rounds read the counts of all geodesics
     together (``_brackets``).  In each bracket the conjugate times are the
-    real roots of det M on the cubic Hermite interpolant
+    real roots of det M on the cubic Hermite interpolant, found for every
+    grid cell of every bracket of the bundle with one stacked solve
     (``_singular_times``); roots closer than ``EVENT_TIME_RESOLUTION`` are one
     event at their mean, with their number as the multiplicity.  The roots of
     a bracket must number its count jump, or ``DomainError`` is raised.
@@ -377,13 +393,22 @@ def detect_events(propagator, window, rank_tol=DEFAULT_RANK_TOL):
     M, Mp = propagator.M, propagator.Mp
     n = M.shape[1]
 
+    per_geodesic = _brackets(times, propagator.morse_count, n, t0, t1)
+    brackets = [(g, a, b, jump) for g, of_g in enumerate(per_geodesic) for a, b, jump in of_g]
     found = []  # (geodesic, time, multiplicity)
-    for g, brackets in enumerate(_brackets(times, propagator.morse_count, n, t0, t1)):
-        for a, b, jump in brackets:
-            roots = _singular_times(times, M[:, g], Mp[:, g], a, b)
-            if len(roots) != jump:
-                raise DomainError(f"{len(roots)} zeros of det M in ({a!r}, {b!r}], count jump {jump}")
-            for group in np.split(roots, np.flatnonzero(np.diff(roots) >= EVENT_TIME_RESOLUTION) + 1):
+    if brackets:
+        # the grid cells first, first + 1, ... of each bracket, all solved at once
+        G, A, B, _ = (np.array(c) for c in zip(*brackets))
+        first = np.maximum(np.searchsorted(times, A, side="right") - 1, 0)
+        cells = np.searchsorted(times, B) - first
+        of = np.repeat(np.arange(len(brackets)), cells)
+        i = first[of] + np.arange(len(of)) - np.repeat(np.cumsum(cells) - cells, cells)
+        roots = _singular_times(times, M, Mp, (i, G[of]), A[of], B[of])
+        for (g, a, b, jump), r in zip(brackets, np.split(roots, np.cumsum(cells)[:-1])):
+            r = np.sort(r[~np.isnan(r)])
+            if len(r) != jump:
+                raise DomainError(f"{len(r)} zeros of det M in ({a!r}, {b!r}], count jump {jump}")
+            for group in np.split(r, np.flatnonzero(np.diff(r) >= EVENT_TIME_RESOLUTION) + 1):
                 found.append((g, float(np.mean(group)), len(group)))
     events = [[] for _ in range(n)]
     if found:

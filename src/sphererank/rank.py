@@ -35,7 +35,6 @@ import signal
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .errors import DomainError, NormalizationError, ParameterError
 from .geodesics import (
@@ -560,17 +559,20 @@ def weak_field_search(K, M, N, tol):
     B = [N M] and s = (a, b).  On a normalized model K - I is semidefinite,
     so sec(gamma', J) = 1 wherever J != 0 exactly when (K - I) J = 0.  The
     returned s is the lowest eigenvector of the pencil
-    (sum_t B^T (K - I)^2 B, sum_t B^T B): a field with sec = 1 exists exactly
-    when its eigenvalue is zero.  On a failing geodesic the deviation is that
-    of this least-squares field, not a minimax optimum.
+    (A, C) = (sum_t B^T (K - I)^2 B, sum_t B^T B): a field with sec = 1
+    exists exactly when its eigenvalue is zero.  The pencil is reduced as
+    LAPACK's ``sygv`` reduces it: with C = L L^T (Cholesky), s = L^-T y for
+    the lowest eigenvector y of L^-1 A L^-T.  On a failing geodesic the
+    deviation is that of this least-squares field, not a minimax optimum.
     Returns (deviation, excluded samples, unit initial condition s).
     """
     k = K.shape[-1]
     B = np.concatenate([N, M], axis=-1)
     D = (K - np.eye(k)) @ B
     A = np.einsum("tia,tib->ab", D, D)
-    C = np.einsum("tia,tib->ab", B, B)
-    s = linalg.eigh(A, C, subset_by_index=[0, 0])[1][:, 0]
+    L = np.linalg.cholesky(np.einsum("tia,tib->ab", B, B))
+    y = np.linalg.eigh(np.linalg.solve(L, np.linalg.solve(L, A).T))[1][:, 0]
+    s = np.linalg.solve(L.T, y)
     s /= np.linalg.norm(s)
     dev, excluded = _field_deviation(K, B @ s, tol)
     return dev, excluded, s
@@ -707,8 +709,8 @@ def measure_fiber_time(eta, step=None):
     With u0 the initial ambient velocity, f = <q, u0> is sin(t / eta) / eta
     along the fiber, so the closure time is the upward zero of f after half a
     period: the real root of the cubic Hermite interpolant of f (node slopes
-    from ``state_rhs``) in the grid cell where f changes sign, an eigenvalue
-    of the companion pencil of ``_singular_times`` (the scalar case, k = 1).
+    from ``state_rhs``) in the grid cell where f changes sign, from the root
+    solve of ``_singular_times`` on that one cell (the scalar case, k = 1).
     Only the flow's own error is left.  ``DomainError`` if the cell holds no
     root or more than one.  ``step`` None takes ``model_step(BergerSphere(eta))``.
     """
@@ -723,7 +725,8 @@ def measure_fiber_time(eta, step=None):
     j = np.argmax((traj.times[:-1] > 0.5 * period) & (f[:-1] <= 0.0) & (f[1:] > 0.0))
     cell = slice(j, j + 2)
     times, df = traj.times[cell], model.state_rhs(X[cell], V[cell])[0] @ u0
-    roots = _singular_times(times, f[cell, None, None], df[:, None, None], *times)
+    roots = _singular_times(times, f[cell, None, None], df[:, None, None], (np.array([0]),), *times)
+    roots = roots[~np.isnan(roots)]
     if len(roots) != 1:
         raise DomainError(f"{len(roots)} zeros of <q, u0> in the closing cell of the fiber")
     return float(roots[0])

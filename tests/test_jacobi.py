@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from bundle_views import (
     analyzed_bundle, bundle_propagator, bundle_views, row_views, second_solution,
@@ -429,6 +430,80 @@ def test_an_event_is_confirmed_at_rank_tol(monkeypatch, shift, kept):
     events = sr.conjugate_points(prop, (0.0, 4.0), rank_tol=1e-10)
     expected = [(pytest.approx(math.pi, abs=1e-6), 2)] if kept else []
     assert [(e.time, e.multiplicity) for e in events] == expected
+
+
+def _qz_roots(times, M, Mp, a, b):
+    """Reference for ``_singular_times`` on the one cell of ``times``: the
+    roots s of det M in the window, from SciPy's QZ on the companion pencil
+    [[0, I, 0], [0, 0, I], [-C0, -C1, -C2]] - s diag(I, I, C3)."""
+    k, h = M.shape[-1], times[1] - times[0]
+    M0, M1, D0, D1 = M[0], M[1], h * Mp[0], h * Mp[1]
+    A, B = np.eye(3 * k, k=k), np.eye(3 * k)
+    A[2 * k :] = -np.hstack([M0, D0, 3.0 * (M1 - M0) - 2.0 * D0 - D1])
+    B[2 * k :, 2 * k :] = 2.0 * (M0 - M1) + D0 + D1
+    s = linalg.eigvals(A, B)
+    s = s[np.isfinite(s) & (h * np.abs(s.imag) <= jacobi_mod.EVENT_TIME_RESOLUTION)].real
+    t = times[0] + h * s
+    return np.sort(s[(t > a) & (t <= b)])
+
+
+def _cell(C, window=(1.0, 1.25)):
+    """The cell [1, 1.25] whose Hermite interpolant is C0 + C1 s + C2 s^2 + C3 s^3,
+    as (times, M, Mp, a, b)."""
+    C0, C1, C2, C3 = C
+    times, h = np.array([1.0, 1.25]), 0.25
+    M = np.array([C0, C0 + C1 + C2 + C3])
+    Mp = np.array([C1, C1 + 2.0 * C2 + 3.0 * C3]) / h
+    return (times, M, Mp) + window
+
+
+def _singular_at(rng, C, s0):
+    """C with C0 replaced so that M(s0) is a random matrix of rank k - 1."""
+    k = C[0].shape[-1]
+    R = rng.standard_normal((k, k - 1)) @ rng.standard_normal((k - 1, k))
+    return (R - C[1] * s0 - C[2] * s0**2 - C[3] * s0**3,) + tuple(C[1:])
+
+
+def _root_cases():
+    """(cell, least): cells of ``_cell``'s form, the built ones with at least
+    ``least`` roots in their window."""
+    rng = np.random.default_rng(11)
+    cases = [(_cell(rng.standard_normal((4, 3, 3))), 0) for _ in range(200)]
+    C = rng.standard_normal((4, 3, 3))
+    C[3] = 0.0  # the cubic drops degree
+    cases.append((_cell(_singular_at(rng, C, 0.3)), 1))
+    C = rng.standard_normal((4, 3, 3))
+    C[3] = np.outer(rng.standard_normal(3), rng.standard_normal(3))  # a singular C3
+    cases.append((_cell(_singular_at(rng, C, 0.7)), 1))
+    t = np.array([3.0, 3.3])  # M = sin(t) I_3: a 3-fold root near pi
+    sin, cos = (f(t)[:, None, None] * np.eye(3) for f in (np.sin, np.cos))
+    cases.append(((t, sin, cos, 3.0, 3.3), 3))
+    # a root at each cell end, inside a window that reaches past it
+    for s0, window in ((1.0, (1.0, 1.375)), (0.0, (0.875, 1.25))):
+        cases.append((_cell(_singular_at(rng, rng.standard_normal((4, 3, 3)), s0), window), 1))
+    cases.append((_cell(_singular_at(rng, rng.standard_normal((4, 1, 1)), 0.4)), 1))  # k = 1
+    return cases
+
+
+def test_the_stacked_root_solve_finds_the_roots_of_qz():
+    cases = _root_cases()
+    for case, least in cases:
+        assert len(_qz_roots(*case)) >= least
+    found = 0
+    for k in (3, 1):
+        cells = [case for case, _ in cases if case[1].shape[-1] == k]
+        # one stacked call; cell j spans rows 2j and 2j + 1
+        times, M, Mp = (np.concatenate([c[j] for c in cells]) for j in range(3))
+        a, b = (np.array([c[j] for c in cells]) for j in (3, 4))
+        roots = jacobi_mod._singular_times(times, M, Mp, (np.arange(0, len(times), 2),), a, b)
+        for cell, r in zip(cells, roots):
+            expected = _qz_roots(*cell)
+            t = cell[0]
+            s = (r[~np.isnan(r)] - t[0]) / (t[1] - t[0])
+            assert len(s) == len(expected)
+            assert np.allclose(s, expected, rtol=0.0, atol=1e-12)
+            found += len(s)
+    assert found > sum(least for _, least in cases)  # random cells hold roots too
 
 
 def test_count_on_a_coarse_grid_with_stiff_curvature():
